@@ -7,14 +7,16 @@
 //! raw [`fetch_line`](ServeClient::fetch_line) so payload bytes can be
 //! compared without a parse/re-render step in between.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use mis_beeping::json::Json;
 
-/// Maximum status polls in [`wait`](ServeClient::wait) before giving up
-/// (at 5 ms per poll ≈ 100 s of queue + run time).
+use crate::protocol::write_frame;
+
+/// Maximum status polls in [`wait`](ServeClient::wait) before giving up:
+/// with a 5 ms pause between polls, at least 100 s of queue + run time.
 const MAX_WAIT_POLLS: u32 = 20_000;
 
 /// A connected protocol client.
@@ -24,13 +26,15 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to a running daemon.
+    /// Connects to a running daemon, with `TCP_NODELAY` set (see
+    /// [`write_frame`]).
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Self {
             reader: BufReader::new(stream),
@@ -56,18 +60,16 @@ impl ServeClient {
         Err(last.expect("at least one attempt"))
     }
 
-    /// Sends one raw line (no trailing newline) and reads one reply line.
-    /// The line is sent verbatim — including malformed JSON, which is the
-    /// point for protocol tests.
+    /// Sends one raw line (no trailing newline) as a single
+    /// [`write_frame`] and reads one reply line. The line is sent verbatim
+    /// — including malformed JSON, which is the point for protocol tests.
     ///
     /// # Errors
     ///
     /// Propagates transport failures; an empty reply (server closed the
     /// connection) is `UnexpectedEof`.
     pub fn raw_call(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, line)?;
         self.read_reply_line()
     }
 
@@ -165,8 +167,11 @@ impl ServeClient {
         self.call(&Self::cmd0("cache_stats"))
     }
 
-    /// Polls `status` every 5 ms until the job is `done` or `error`,
-    /// returning the final status reply.
+    /// Sends `status` until the job is `done` or `error` (or the reply is
+    /// an error, such as `unknown_job`), returning that last reply. The
+    /// first poll is immediate, so a cache hit (born `done`) costs one
+    /// round trip; after a poll that finds the job queued or running, the
+    /// client sleeps 5 ms before the next.
     ///
     /// # Errors
     ///

@@ -13,16 +13,18 @@
 //! | `status` | job snapshot: `state`, `progress`/`total`, `cached` |
 //! | `watch` | a *stream* of status lines until the job finishes |
 //! | `fetch` | the stored payload, spliced byte-identically into `result` |
-//! | `cache_stats` | store counters plus the daemon's `engine_runs` |
+//! | `cache_stats` | store counters plus the daemon's `engine_runs` and `graph_builds` |
 //! | `shutdown` | `{"ok": true, "stopping": true}`, then the daemon exits |
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mis_beeping::json::Json;
+use mis_graph::Graph;
 
 use crate::jobs::{JobSnapshot, JobState};
 use crate::protocol::error_reply;
-use crate::request::{cache_key, RunRequest};
+use crate::request::{cache_key_from_digest, graph_digest, RequestError, RunRequest};
 use crate::server::{now_unix_ms, ServerState};
 
 /// What the connection loop should do with a dispatched command.
@@ -111,24 +113,44 @@ fn submit(state: &Arc<ServerState>, request: Option<&Json>) -> Reply {
     let Some(request) = request else {
         return err("bad_request", "submit needs a \"request\" object");
     };
-    let request = match RunRequest::parse(request) {
-        Ok(request) => request,
-        Err(e) => return err(e.code, &e.message),
+    match RunRequest::parse(request).and_then(|request| admit(state, request)) {
+        Ok(reply) => reply,
+        Err(e) => err(e.code, &e.message),
+    }
+}
+
+/// Keys a parsed request, then answers it from the store (born done) or
+/// queues it. Makes exactly one counted `store.lookup`.
+fn admit(state: &ServerState, request: RunRequest) -> Result<Reply, RequestError> {
+    // A generator spec seen before keys by its memoised digest, with no
+    // build; otherwise build once, digest, and remember the digest.
+    let (digest, graph) = match state.digests.get(&request.graph) {
+        Some(digest) => (digest, None),
+        None => {
+            let graph = build(state, &request)?;
+            let digest = graph_digest(&graph);
+            state.digests.insert(&request.graph, digest);
+            (digest, Some(graph))
+        }
     };
-    let graph = match request.graph.build() {
-        Ok(graph) => Arc::new(graph),
-        Err(e) => return err(e.code, &e.message),
-    };
-    let key = cache_key(&request, graph.as_ref());
+    let key = cache_key_from_digest(&request, digest);
     let now = now_unix_ms();
     let (id, cached, job_state) = if state.store.lookup(&key).is_some() {
-        let id = state.jobs.insert_done(key.clone(), request, graph, now);
+        let id = state.jobs.insert_done(key.clone(), request.runs, now);
         (id, true, "done")
     } else {
-        let id = state.jobs.enqueue(key.clone(), request, graph, now);
+        // A memo hit with a store miss builds the graph once, for the
+        // engine.
+        let graph = match graph {
+            Some(graph) => graph,
+            None => build(state, &request)?,
+        };
+        let id = state
+            .jobs
+            .enqueue(key.clone(), request, Arc::new(graph), now);
         (id, false, "queued")
     };
-    Reply::Single(
+    Ok(Reply::Single(
         Json::Obj(vec![
             ("ok".to_owned(), Json::Bool(true)),
             ("cached".to_owned(), Json::Bool(cached)),
@@ -137,7 +159,13 @@ fn submit(state: &Arc<ServerState>, request: Option<&Json>) -> Reply {
             ("state".to_owned(), Json::Str(job_state.to_owned())),
         ])
         .render(),
-    )
+    ))
+}
+
+/// Builds the request's graph, counting the build.
+fn build(state: &ServerState, request: &RunRequest) -> Result<Graph, RequestError> {
+    state.graph_builds.fetch_add(1, Ordering::Relaxed);
+    request.graph.build()
 }
 
 /// The status reply for one job snapshot (also the `watch` stream line).
@@ -195,7 +223,11 @@ fn cache_stats(state: &Arc<ServerState>) -> Reply {
             ("ok".to_owned(), Json::Bool(true)),
             (
                 "engine_runs".to_owned(),
-                Json::u64_str(state.engine_runs.load(std::sync::atomic::Ordering::Relaxed)),
+                Json::u64_str(state.engine_runs.load(Ordering::Relaxed)),
+            ),
+            (
+                "graph_builds".to_owned(),
+                Json::u64_str(state.graph_builds.load(Ordering::Relaxed)),
             ),
             (
                 "started_unix_ms".to_owned(),
@@ -213,4 +245,83 @@ fn cache_stats(state: &Arc<ServerState>) -> Reply {
         ])
         .render(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jobs::MAX_FINISHED_JOBS;
+    use crate::{ServeConfig, Server};
+
+    fn reply(state: &Arc<ServerState>, line: &str) -> String {
+        match dispatch(state, line) {
+            Reply::Single(text) => text,
+            _ => panic!("{line} did not get a single reply"),
+        }
+    }
+
+    const SUBMIT: &str = r#"{"cmd": "submit", "request": {"graph": {"generator": "cycle", "n": 8},
+        "algorithm": {"family": "feedback"}, "seed": "3", "runs": 2}}"#;
+
+    /// The submit, status and fetch reply bytes of a miss and then a hit,
+    /// pinned field by field: releasing a finished job's request and
+    /// graph changes nothing a client can see.
+    #[test]
+    fn status_and_fetch_reply_bytes_are_pinned() {
+        let handle = Server::spawn(ServeConfig::default().with_addr("127.0.0.1:0")).unwrap();
+        let state = handle.state();
+        let miss = reply(&state, SUBMIT);
+        let parsed = Json::parse(&miss).unwrap();
+        let key = parsed.get("key").and_then(Json::as_str).unwrap().to_owned();
+        assert_eq!(
+            miss,
+            format!(r#"{{"ok":true,"cached":false,"job":"1","key":"{key}","state":"queued"}}"#)
+        );
+        while state.jobs.snapshot(1).unwrap().state != JobState::Done {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let hit = reply(&state, SUBMIT);
+        assert_eq!(
+            hit,
+            format!(r#"{{"ok":true,"cached":true,"job":"2","key":"{key}","state":"done"}}"#)
+        );
+        let payload = state.store.peek(&key).unwrap();
+        for (job, cached) in [(1, false), (2, true)] {
+            let created = state.jobs.snapshot(job).unwrap().created_unix_ms;
+            assert_eq!(
+                reply(&state, &format!(r#"{{"cmd": "status", "job": "{job}"}}"#)),
+                format!(
+                    r#"{{"ok":true,"cached":{cached},"created_unix_ms":"{created}","job":"{job}","key":"{key}","progress":2.0,"state":"done","total":2.0}}"#
+                )
+            );
+            assert_eq!(
+                reply(&state, &format!(r#"{{"cmd": "fetch", "job": "{job}"}}"#)),
+                format!(
+                    r#"{{"ok":true,"cached":{cached},"job":"{job}","key":"{key}","result":{payload}}}"#
+                )
+            );
+        }
+        handle.stop();
+    }
+
+    #[test]
+    fn an_evicted_job_is_an_unknown_job() {
+        let server = Server::bind(ServeConfig::default().with_addr("127.0.0.1:0")).unwrap();
+        let state = server.state();
+        let first = state.jobs.insert_done("k".into(), 1, 0);
+        for _ in 0..MAX_FINISHED_JOBS {
+            state.jobs.insert_done("k".into(), 1, 0);
+        }
+        for cmd in ["status", "fetch", "watch"] {
+            assert_eq!(
+                reply(&state, &format!(r#"{{"cmd": "{cmd}", "job": "{first}"}}"#)),
+                format!(
+                    r#"{{"ok":false,"error":{{"code":"unknown_job","message":"no job {first}"}}}}"#
+                )
+            );
+        }
+        let kept = first + 1;
+        let status = reply(&state, &format!(r#"{{"cmd": "status", "job": "{kept}"}}"#));
+        assert!(status.starts_with(r#"{"ok":true,"#), "{status}");
+    }
 }

@@ -10,6 +10,12 @@
 //! backend the request named. Payload bytes are therefore identical to a
 //! solo run of the same (graph, config, seed range) — which the protocol
 //! test suite asserts record by record.
+//!
+//! A job holds its [`RunRequest`] and graph only while it is queued:
+//! [`JobTable::claim`] moves both to the worker, and a cache hit, born
+//! done, never stores them. A finished job is its key, state and
+//! counters, and the table keeps at most [`MAX_FINISHED_JOBS`] of them,
+//! evicting the one that finished first.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -27,6 +33,11 @@ use mis_experiments::{run_with_backend, BackendOp};
 use mis_graph::{Graph, GraphView};
 
 use crate::request::{AlgorithmSpec, RunRequest};
+
+/// Most finished (`done` or `error`) jobs the table keeps. Past it, the
+/// job that finished longest ago is forgotten and its id answers
+/// `unknown_job`; queued and running jobs are never evicted.
+pub const MAX_FINISHED_JOBS: usize = 4_096;
 
 /// Lifecycle of a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,8 +67,8 @@ impl JobState {
 
 struct Job {
     key: String,
-    request: RunRequest,
-    graph: Arc<Graph>,
+    /// The request and its graph, until a worker claims them.
+    work: Option<(RunRequest, Arc<Graph>)>,
     state: JobState,
     cached: bool,
     total_runs: usize,
@@ -103,7 +114,42 @@ pub struct ClaimedJob {
 struct Inner {
     jobs: BTreeMap<u64, Job>,
     queue: VecDeque<u64>,
+    /// Finished job ids, oldest finished first.
+    finished: VecDeque<u64>,
     next_id: u64,
+}
+
+impl Inner {
+    fn insert(&mut self, job: Job) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.jobs.insert(id, job);
+        id
+    }
+
+    /// Moves `id` to the finished `state`, dropping any request and
+    /// graph it still holds, and retires it the first time it finishes.
+    fn finish(&mut self, id: u64, state: JobState) {
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        let first_time = !matches!(job.state, JobState::Done | JobState::Error(_));
+        job.state = state;
+        job.work = None;
+        if first_time {
+            self.retire(id);
+        }
+    }
+
+    /// Adds newly finished `id` to the retention window, evicting the jobs
+    /// that finished longest ago past [`MAX_FINISHED_JOBS`].
+    fn retire(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            let oldest = self.finished.pop_front().expect("finished is non-empty");
+            self.jobs.remove(&oldest);
+        }
+    }
 }
 
 /// Thread-safe job registry plus FIFO work queue.
@@ -126,6 +172,7 @@ impl JobTable {
             inner: Mutex::new(Inner {
                 jobs: BTreeMap::new(),
                 queue: VecDeque::new(),
+                finished: VecDeque::new(),
                 next_id: 1,
             }),
             ready: Condvar::new(),
@@ -142,53 +189,36 @@ impl JobTable {
     ) -> u64 {
         let total_runs = request.runs;
         let mut inner = self.inner.lock().expect("job table poisoned");
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.jobs.insert(
-            id,
-            Job {
-                key,
-                request,
-                graph,
-                state: JobState::Queued,
-                cached: false,
-                total_runs,
-                progress: Arc::new(AtomicUsize::new(0)),
-                created_unix_ms,
-            },
-        );
+        let id = inner.insert(Job {
+            key,
+            work: Some((request, graph)),
+            state: JobState::Queued,
+            cached: false,
+            total_runs,
+            progress: Arc::new(AtomicUsize::new(0)),
+            created_unix_ms,
+        });
         inner.queue.push_back(id);
         drop(inner);
         self.ready.notify_one();
         id
     }
 
-    /// Registers a job that was answered from the cache at submission
-    /// time: born `Done`, `cached`, with full progress.
-    pub fn insert_done(
-        &self,
-        key: String,
-        request: RunRequest,
-        graph: Arc<Graph>,
-        created_unix_ms: u64,
-    ) -> u64 {
-        let total_runs = request.runs;
+    /// Registers a job of `total_runs` runs that was answered from the
+    /// cache at submission time: born `Done`, `cached`, with full
+    /// progress, and holding neither request nor graph.
+    pub fn insert_done(&self, key: String, total_runs: usize, created_unix_ms: u64) -> u64 {
         let mut inner = self.inner.lock().expect("job table poisoned");
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.jobs.insert(
-            id,
-            Job {
-                key,
-                request,
-                graph,
-                state: JobState::Done,
-                cached: true,
-                total_runs,
-                progress: Arc::new(AtomicUsize::new(total_runs)),
-                created_unix_ms,
-            },
-        );
+        let id = inner.insert(Job {
+            key,
+            work: None,
+            state: JobState::Done,
+            cached: true,
+            total_runs,
+            progress: Arc::new(AtomicUsize::new(total_runs)),
+            created_unix_ms,
+        });
+        inner.retire(id);
         id
     }
 
@@ -211,17 +241,20 @@ impl JobTable {
         }
     }
 
-    /// Marks `id` running and returns what its worker needs.
+    /// Marks `id` running and moves its request and graph out to the
+    /// worker: from here on the table holds neither. `None` if `id` is
+    /// unknown or already claimed.
     #[must_use]
     pub fn claim(&self, id: u64) -> Option<ClaimedJob> {
         let mut inner = self.inner.lock().expect("job table poisoned");
         let job = inner.jobs.get_mut(&id)?;
+        let (request, graph) = job.work.take()?;
         job.state = JobState::Running;
         Some(ClaimedJob {
             id,
             key: job.key.clone(),
-            request: job.request.clone(),
-            graph: Arc::clone(&job.graph),
+            request,
+            graph,
             progress: Arc::clone(&job.progress),
         })
     }
@@ -231,20 +264,18 @@ impl JobTable {
     pub fn mark_done(&self, id: u64, cached: bool) {
         let mut inner = self.inner.lock().expect("job table poisoned");
         if let Some(job) = inner.jobs.get_mut(&id) {
-            job.state = JobState::Done;
             job.cached = cached;
             if cached {
                 job.progress.store(job.total_runs, Ordering::Relaxed);
             }
         }
+        inner.finish(id, JobState::Done);
     }
 
     /// Marks `id` failed with a message.
     pub fn mark_error(&self, id: u64, message: impl Into<String>) {
         let mut inner = self.inner.lock().expect("job table poisoned");
-        if let Some(job) = inner.jobs.get_mut(&id) {
-            job.state = JobState::Error(message.into());
-        }
+        inner.finish(id, JobState::Error(message.into()));
     }
 
     /// A point-in-time snapshot of `id`.
@@ -435,18 +466,86 @@ mod tests {
     #[test]
     fn cache_hit_jobs_are_born_done() {
         let table = JobTable::new();
-        let g = Arc::new(generators::cycle(6));
         let req = request(
             r#"{"graph": {"generator": "cycle", "n": 6},
                 "algorithm": {"family": "feedback"}, "runs": 3}"#,
         );
-        let id = table.insert_done("k".into(), req, g, 7);
+        let id = table.insert_done("k".into(), req.runs, 7);
         let snap = table.snapshot(id).unwrap();
         assert_eq!(snap.state, JobState::Done);
         assert!(snap.cached);
         assert_eq!(snap.progress, 3);
         assert_eq!(snap.total, 3);
         assert_eq!(snap.created_unix_ms, 7);
+    }
+
+    #[test]
+    fn finished_jobs_hold_neither_request_nor_graph() {
+        let table = JobTable::new();
+        let g = Arc::new(generators::cycle(6));
+        let req = request(
+            r#"{"graph": {"generator": "cycle", "n": 6},
+                "algorithm": {"family": "feedback"}, "runs": 2}"#,
+        );
+        let a = table.enqueue("k1".into(), req.clone(), Arc::clone(&g), 0);
+        let b = table.enqueue("k2".into(), req.clone(), Arc::clone(&g), 0);
+        assert_eq!(Arc::strong_count(&g), 3);
+
+        // Claiming moves the job's graph to the worker; it is not copied.
+        let claimed = table.claim(a).unwrap();
+        assert_eq!(Arc::strong_count(&g), 3);
+        assert!(table.claim(a).is_none(), "a job is claimed once");
+        drop(claimed);
+        table.mark_done(a, false);
+        assert_eq!(Arc::strong_count(&g), 2);
+
+        drop(table.claim(b).unwrap());
+        table.mark_error(b, "boom");
+        assert_eq!(Arc::strong_count(&g), 1);
+
+        // A born-done job is never handed the graph at all.
+        let c = table.insert_done("k3".into(), req.runs, 0);
+        assert_eq!(Arc::strong_count(&g), 1);
+        assert_eq!(table.snapshot(c).unwrap().state, JobState::Done);
+
+        // Even a job that fails before a worker claims it lets go.
+        let d = table.enqueue("k4".into(), req, Arc::clone(&g), 0);
+        table.mark_error(d, "rejected");
+        assert_eq!(Arc::strong_count(&g), 1);
+    }
+
+    #[test]
+    fn finished_jobs_are_capped_oldest_finished_first() {
+        let table = JobTable::new();
+        let g = Arc::new(generators::cycle(6));
+        let req = request(
+            r#"{"graph": {"generator": "cycle", "n": 6},
+                "algorithm": {"family": "feedback"}, "runs": 1}"#,
+        );
+        let queued = table.enqueue("q".into(), req.clone(), Arc::clone(&g), 0);
+        let running = table.enqueue("r".into(), req, g, 0);
+        let _claimed = table.claim(running).unwrap();
+        let done: Vec<u64> = (0..MAX_FINISHED_JOBS)
+            .map(|i| table.insert_done(format!("d{i}"), 1, 0))
+            .collect();
+        // At the cap: every job is still known.
+        assert!(done.iter().all(|&id| table.snapshot(id).is_some()));
+
+        // One past the cap: the first finished job goes, nothing else.
+        let extra = table.insert_done("extra".into(), 1, 0);
+        assert!(table.snapshot(done[0]).is_none());
+        assert!(table.snapshot(done[1]).is_some());
+        assert!(table.snapshot(extra).is_some());
+        assert_eq!(table.snapshot(queued).unwrap().state, JobState::Queued);
+        assert_eq!(table.snapshot(running).unwrap().state, JobState::Running);
+
+        // A job joins the window when it finishes, not when it was
+        // submitted: the running job, submitted before all the others,
+        // evicts the next-oldest finished one and stays.
+        table.mark_done(running, false);
+        assert!(table.snapshot(done[1]).is_none());
+        assert_eq!(table.snapshot(running).unwrap().state, JobState::Done);
+        assert_eq!(table.snapshot(queued).unwrap().state, JobState::Queued);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! | Module | Layer |
 //! |--------|-------|
 //! | [`config`] | [`ServeConfig`] — address, cache dir, worker counts, frame cap |
-//! | [`protocol`] | framing (bounded line reader) and typed error replies |
+//! | [`protocol`] | framing (bounded line reader, one-write frames) and typed error replies |
 //! | [`request`] | request parsing, validation, canonicalisation, cache keys |
+//! | [`memo`] | [`DigestMemo`](memo::DigestMemo) — generator spec → graph digest, so repeats skip the build |
 //! | [`store`] | [`ResultStore`] — content-addressed payloads + hit/miss stats |
 //! | [`jobs`] | job table, FIFO queue, and the engine-executing workers |
 //! | [`handlers`] | one function per protocol command |
@@ -54,6 +55,7 @@ pub mod client;
 pub mod config;
 pub mod handlers;
 pub mod jobs;
+pub mod memo;
 pub mod protocol;
 pub mod request;
 pub mod server;

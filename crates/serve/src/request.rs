@@ -640,7 +640,15 @@ pub fn graph_digest<G: GraphView + ?Sized>(g: &G) -> u64 {
 /// a payload byte is inside the canonical form; nothing else is.
 #[must_use]
 pub fn cache_key<G: GraphView + ?Sized>(request: &RunRequest, graph: &G) -> String {
-    let canonical = request.canonical_json(graph_digest(graph)).render();
+    cache_key_from_digest(request, graph_digest(graph))
+}
+
+/// [`cache_key`] given the [`graph_digest`] of the request's graph, for
+/// callers that already know the digest without the graph (the daemon's
+/// [`DigestMemo`](crate::memo::DigestMemo)).
+#[must_use]
+pub(crate) fn cache_key_from_digest(request: &RunRequest, graph_digest: u64) -> String {
+    let canonical = request.canonical_json(graph_digest).render();
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
 }
 

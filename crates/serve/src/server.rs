@@ -8,14 +8,14 @@
 //! * one detached **connection thread** per client, reading frames with a
 //!   100 ms poll timeout so it observes shutdown even mid-line; a slow or
 //!   stalled client therefore blocks only its own thread, never the
-//!   queue or other connections;
+//!   queue or other connections. Every accepted stream has `TCP_NODELAY`
+//!   set and every reply goes out as one [`write_frame`];
 //! * `workers` **engine workers** draining the job queue; each re-checks
 //!   the store before running (in-flight duplicate submissions collapse
 //!   to one engine execution) and publishes its payload under the job's
 //!   content address. A panicking engine marks the job `error` and the
 //!   worker survives.
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,8 +25,9 @@ use std::time::Duration;
 
 use crate::config::ServeConfig;
 use crate::handlers::{self, Reply};
-use crate::jobs::{JobState, JobTable};
-use crate::protocol::{error_reply, read_frame, Frame};
+use crate::jobs::{ClaimedJob, JobState, JobTable};
+use crate::memo::DigestMemo;
+use crate::protocol::{error_reply, read_frame, write_frame, Frame};
 use crate::store::ResultStore;
 
 /// Shared state every connection and worker sees.
@@ -37,9 +38,15 @@ pub struct ServerState {
     pub store: ResultStore,
     /// Job registry and FIFO queue.
     pub jobs: JobTable,
+    /// Generator spec → graph digest, so a repeat submit computes its
+    /// cache key without building its graph.
+    pub digests: DigestMemo,
     /// Engine runs executed since startup (cache hits add zero) — the
     /// counter the cache tests pin "zero additional work" against.
     pub engine_runs: AtomicU64,
+    /// `GraphSpec::build` calls since startup (a repeat of a generator
+    /// request adds zero).
+    pub graph_builds: AtomicU64,
     /// Raised once; every loop polls it.
     pub shutdown: AtomicBool,
     /// The bound listen address.
@@ -83,7 +90,9 @@ impl Server {
                 config,
                 store,
                 jobs: JobTable::new(),
+                digests: DigestMemo::default(),
                 engine_runs: AtomicU64::new(0),
+                graph_builds: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 addr,
                 started_unix_ms: now_unix_ms(),
@@ -208,49 +217,59 @@ fn worker_loop(state: &ServerState) {
         let Some(job) = state.jobs.claim(id) else {
             continue;
         };
-        // Dequeue-time re-check: a duplicate submitted while this key was
-        // queued is served from the first execution's payload.
-        if state.store.peek(&job.key).is_some() {
-            state.jobs.mark_done(id, true);
-            continue;
+        match run_claimed(state, job) {
+            Ok(cached) => state.jobs.mark_done(id, cached),
+            Err(message) => state.jobs.mark_error(id, message),
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            crate::jobs::execute_request(
-                &job.request,
-                &job.graph,
-                state.config.job_jobs,
-                &job.progress,
-                &state.engine_runs,
-            )
-        }));
-        match outcome {
-            Ok(payload) => {
-                state.store.insert(&job.key, payload);
-                state.jobs.mark_done(id, false);
-            }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "engine panicked".to_owned());
-                state.jobs.mark_error(id, format!("engine panicked: {msg}"));
-            }
+    }
+}
+
+/// Executes a claimed job and publishes its payload; `Ok(true)` if the
+/// store already held it. Consumes the job, so its request and graph are
+/// released before the job is marked finished.
+fn run_claimed(state: &ServerState, job: ClaimedJob) -> Result<bool, String> {
+    // Dequeue-time re-check: a duplicate submitted while this key was
+    // queued is served from the first execution's payload.
+    if state.store.peek(&job.key).is_some() {
+        return Ok(true);
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        crate::jobs::execute_request(
+            &job.request,
+            &job.graph,
+            state.config.job_jobs,
+            &job.progress,
+            &state.engine_runs,
+        )
+    }));
+    match outcome {
+        Ok(payload) => {
+            state.store.insert(&job.key, payload);
+            Ok(false)
+        }
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "engine panicked".to_owned());
+            Err(format!("engine panicked: {msg}"))
         }
     }
 }
 
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = std::io::BufReader::new(stream);
     loop {
         match read_frame(&mut reader, state.config.max_frame_bytes, &state.shutdown) {
             Frame::Line(line) => match handlers::dispatch(state, &line) {
-                Reply::Single(text) => write_line(&mut writer, &text)?,
+                Reply::Single(text) => write_frame(&mut writer, &text)?,
                 Reply::Watch { job } => stream_watch(state, &mut writer, job)?,
                 Reply::Shutdown(text) => {
-                    write_line(&mut writer, &text)?;
+                    write_frame(&mut writer, &text)?;
                     state.shutdown.store(true, Ordering::Relaxed);
                     wake_accept(state);
                     return Ok(());
@@ -265,21 +284,15 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> std::io::Re
                     ),
                 )
                 .render();
-                write_line(&mut writer, &text)?;
+                write_frame(&mut writer, &text)?;
             }
             Frame::BadUtf8 => {
                 let text = error_reply("bad_json", "request line is not valid UTF-8").render();
-                write_line(&mut writer, &text)?;
+                write_frame(&mut writer, &text)?;
             }
             Frame::Eof | Frame::Truncated | Frame::Shutdown => return Ok(()),
         }
     }
-}
-
-fn write_line(writer: &mut TcpStream, text: &str) -> std::io::Result<()> {
-    writer.write_all(text.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 /// Streams status lines for `job` until it finishes: one line per
@@ -290,12 +303,12 @@ fn stream_watch(state: &ServerState, writer: &mut TcpStream, job: u64) -> std::i
     loop {
         let Some(snap) = state.jobs.snapshot(job) else {
             let text = error_reply("unknown_job", &format!("no job {job}")).render();
-            return write_line(writer, &text);
+            return write_frame(writer, &text);
         };
         let finished = matches!(snap.state, JobState::Done | JobState::Error(_));
         let line = handlers::status_json(&snap).render();
         if last.as_ref() != Some(&line) {
-            write_line(writer, &line)?;
+            write_frame(writer, &line)?;
             last = Some(line);
         }
         if finished || state.shutdown.load(Ordering::Relaxed) {

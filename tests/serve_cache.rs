@@ -5,7 +5,10 @@
 //! sharding invariances of the engine stack, observed through the wire).
 
 use beeping_mis::beeping::json::Json;
-use beeping_mis::serve::{ServeClient, ServeConfig, Server, ServerHandle};
+use beeping_mis::serve::memo::DIGEST_MEMO_CAP;
+use beeping_mis::serve::{
+    cache_key, GraphSpec, RunRequest, ServeClient, ServeConfig, Server, ServerHandle,
+};
 
 fn spawn() -> ServerHandle {
     Server::spawn(ServeConfig::default().with_addr("127.0.0.1:0")).expect("spawn daemon")
@@ -258,4 +261,165 @@ fn cache_directory_survives_a_daemon_restart() {
     assert_eq!(hits, 1);
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(engine_runs, graph_builds)` from `cache_stats`.
+fn work_of(c: &mut ServeClient) -> (u64, u64) {
+    let reply = c.cache_stats().unwrap();
+    let counter = |key: &str| reply.get(key).and_then(Json::as_u64_str).unwrap();
+    (counter("engine_runs"), counter("graph_builds"))
+}
+
+#[test]
+fn repeat_request_adds_zero_graph_builds_and_zero_engine_runs() {
+    let handle = spawn();
+    let mut c = client(&handle);
+    let (first_ack, first_line) = run_raw(&mut c, &base_request());
+    assert_eq!(work_of(&mut c), (4, 1), "one build, four runs");
+
+    // A permuted text of the same spec keys by the memoised digest too.
+    let permuted = Json::parse(
+        r#"{"runs": 4, "seed": 42, "algorithm": {"family": "feedback"},
+            "graph": {"p": 0.2, "graph_seed": 9, "generator": "gnp", "n": 24}}"#,
+    )
+    .unwrap();
+    for request in [base_request(), permuted] {
+        let (ack, line) = run_raw(&mut c, &request);
+        assert_eq!(ack.get("cached"), Some(&Json::Bool(true)));
+        assert_eq!(ack.get("key"), first_ack.get("key"));
+        assert_eq!(result_bytes(&first_line), result_bytes(&line));
+        assert_eq!(work_of(&mut c), (4, 1), "a repeat builds and runs nothing");
+    }
+
+    // A new seed range on the memoised spec misses the store: the graph
+    // is built once, for the engine, under the memo's digest.
+    let reseeded = Json::parse(&BASE.replace("\"seed\": \"42\"", "\"seed\": \"43\"")).unwrap();
+    let (ack, _) = run_raw(&mut c, &reseeded);
+    assert_eq!(ack.get("cached"), Some(&Json::Bool(false)));
+    assert_eq!(work_of(&mut c), (8, 2));
+    let (_, hits, misses, insertions) = stats_of(&mut c);
+    assert_eq!(
+        (hits, misses, insertions),
+        (2, 2, 2),
+        "one lookup per submit"
+    );
+    handle.stop();
+}
+
+#[test]
+fn dimacs_uploads_are_parsed_every_time_and_never_memoised() {
+    let handle = spawn();
+    let mut c = client(&handle);
+    let (first_ack, first_line) = run_raw(&mut c, &base_request());
+    run_raw(&mut c, &base_request());
+    assert_eq!(handle.state().digests.len(), 1);
+
+    let g = GraphSpec::Gnp {
+        n: 24,
+        p: 0.2,
+        graph_seed: 9,
+    }
+    .build()
+    .unwrap();
+    let upload = Json::parse(
+        &BASE.replace(
+            r#"{"generator": "gnp", "n": 24, "p": 0.2, "graph_seed": "9"}"#,
+            &Json::Obj(vec![(
+                "dimacs".to_owned(),
+                Json::Str(beeping_mis::graph::io::to_dimacs(&g)),
+            )])
+            .render(),
+        ),
+    )
+    .unwrap();
+    for _ in 0..2 {
+        let (ack, line) = run_raw(&mut c, &upload);
+        assert_eq!(ack.get("cached"), Some(&Json::Bool(true)));
+        assert_eq!(ack.get("key"), first_ack.get("key"));
+        assert_eq!(result_bytes(&first_line), result_bytes(&line));
+    }
+    // Uploads are parsed every time and never memoised.
+    assert_eq!(work_of(&mut c), (4, 3));
+    assert_eq!(handle.state().digests.len(), 1);
+    handle.stop();
+}
+
+#[test]
+fn gnp_specs_one_ulp_apart_get_distinct_memo_entries() {
+    let handle = spawn();
+    let mut c = client(&handle);
+    let p = 0.2_f64;
+    let next = f64::from_bits(p.to_bits() + 1);
+    for (i, p) in [p, next].into_iter().enumerate() {
+        let spec = GraphSpec::Gnp {
+            n: 24,
+            p,
+            graph_seed: 9,
+        };
+        let text = BASE.replace("\"p\": 0.2", &format!("\"p\": {}", Json::Num(p).render()));
+        let request = Json::parse(&text).unwrap();
+        let (ack, _) = run_raw(&mut c, &request);
+        // The second spec is not served the first one's digest: it is
+        // built, and its key is the one its own graph gives.
+        assert_eq!(work_of(&mut c).1, i as u64 + 1, "{text}");
+        assert_eq!(handle.state().digests.len(), i + 1);
+        let parsed = RunRequest::parse(&request).unwrap();
+        assert_eq!(parsed.graph, spec);
+        let key = cache_key(&parsed, &spec.build().unwrap());
+        assert_eq!(ack.get("key").and_then(Json::as_str), Some(key.as_str()));
+    }
+    handle.stop();
+}
+
+#[test]
+fn more_specs_than_the_memo_cap_stay_bounded_and_correct() {
+    let handle = spawn();
+    let mut c = client(&handle);
+    let specs = DIGEST_MEMO_CAP + 8;
+    let request = |n: usize| {
+        Json::parse(&format!(
+            r#"{{"graph": {{"generator": "cycle", "n": {n}}},
+                "algorithm": {{"family": "feedback"}}, "seed": "5", "runs": 1}}"#
+        ))
+        .unwrap()
+    };
+    let expected_key = |n: usize| {
+        let parsed = RunRequest::parse(&request(n)).unwrap();
+        cache_key(&parsed, &parsed.graph.build().unwrap())
+    };
+    // Submit every spec first, then collect: the workers drain the queue
+    // while the submits are still arriving.
+    let mut jobs = Vec::new();
+    for n in 3..3 + specs {
+        let ack = c.submit(&request(n)).unwrap();
+        assert_eq!(ack.get("cached"), Some(&Json::Bool(false)), "cycle {n}");
+        assert_eq!(
+            ack.get("key").and_then(Json::as_str),
+            Some(expected_key(n).as_str())
+        );
+        jobs.push(ack.get("job").and_then(Json::as_str).unwrap().to_owned());
+        assert!(handle.state().digests.len() <= DIGEST_MEMO_CAP);
+    }
+    assert_eq!(handle.state().digests.len(), DIGEST_MEMO_CAP);
+    let mut first_lines = Vec::new();
+    for job in &jobs {
+        c.wait(job).unwrap();
+        first_lines.push(c.fetch_line(job).unwrap());
+    }
+    assert_eq!(work_of(&mut c), (specs as u64, specs as u64));
+
+    // The oldest specs were evicted from the memo: a repeat rebuilds
+    // them, keys them the same and hits. The newest are still memoised.
+    for (i, n) in [(0, 3), (1, 4), (specs - 1, 3 + specs - 1)] {
+        let (ack, line) = run_raw(&mut c, &request(n));
+        assert_eq!(ack.get("cached"), Some(&Json::Bool(true)), "cycle {n}");
+        assert_eq!(
+            ack.get("key").and_then(Json::as_str),
+            Some(expected_key(n).as_str())
+        );
+        assert_eq!(result_bytes(&first_lines[i]), result_bytes(&line));
+    }
+    assert_eq!(work_of(&mut c), (specs as u64, specs as u64 + 2));
+    assert_eq!(handle.state().digests.len(), DIGEST_MEMO_CAP);
+    handle.stop();
 }
