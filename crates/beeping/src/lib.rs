@@ -99,5 +99,5 @@ pub use metrics::Metrics;
 pub use model::{NetworkInfo, NodeStatus, Verdict};
 pub use process::{BeepingProcess, FnFactory, ProcessFactory};
 pub use scenario::{Delivery, Scenario, ScenarioSpec};
-pub use simulator::{RoundView, RunOutcome, Simulator, Stepper};
+pub use simulator::{Bits, RoundView, RunOutcome, Simulator, Stepper};
 pub use trace::{RoundRecord, Trace, TraceLevel};

@@ -6,7 +6,8 @@
 //! consumed through ascending-order neighbour iteration, which every view
 //! provides.
 
-use core::ops::ControlFlow;
+use core::fmt;
+use core::ops::{ControlFlow, Index};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +21,7 @@ use crate::{
     RoundRecord, SimConfig, Trace, TraceLevel, Verdict,
 };
 
-/// Bits per packed word in the bitset propagation kernel.
+/// Bits per packed word of the beep and hear buffers.
 const WORD_BITS: usize = 64;
 
 /// Beep density (beepers ≥ n / `PULL_CROSSOVER`) above which the bitset
@@ -37,15 +38,105 @@ const PULL_CROSSOVER: usize = 8;
 pub struct RoundView<'a> {
     /// Round index (0-based).
     pub round: u32,
-    /// Which nodes emitted a candidate beep in exchange 1 this round.
-    pub beeped: &'a [bool],
-    /// Which nodes heard a candidate beep in exchange 1 this round.
-    pub heard: &'a [bool],
+    /// Which nodes beeped in exchange 1 this round: the candidates, plus
+    /// the MIS members' heartbeats when
+    /// [`mis_keeps_beeping`](SimConfig::mis_keeps_beeping) is on.
+    pub beeped: Bits<'a>,
+    /// Which nodes heard a beep in exchange 1 this round (every awake,
+    /// present listener, settled ones included).
+    pub heard: Bits<'a>,
     /// Node statuses *after* the round's decisions.
     pub status: &'a [NodeStatus],
     /// Beep probabilities of all nodes *at the start* of the round
-    /// (0 for inactive or sleeping nodes).
+    /// (0 for inactive, sleeping or absent nodes).
     pub probabilities: &'a [f64],
+}
+
+/// A read-only bit-per-node view over packed `u64` words (node `v` is bit
+/// `v % 64` of word `v / 64`), as the engine stores beeps and hears.
+///
+/// Indexes like a `&[bool]`: `bits[v]` is a `bool`, and `Debug` prints the
+/// same list a `[bool]` slice would.
+#[derive(Clone, Copy)]
+pub struct Bits<'a> {
+    words: &'a [u64],
+    len: usize,
+}
+
+impl<'a> Bits<'a> {
+    fn new(words: &'a [u64], len: usize) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(WORD_BITS));
+        Self { words, len }
+    }
+
+    /// Number of bits (nodes) in the view.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the view has no bits.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Index<usize> for Bits<'_> {
+    type Output = bool;
+
+    fn index(&self, i: usize) -> &bool {
+        assert!(i < self.len, "bit {i} out of range for {} bits", self.len);
+        if bit(self.words, i) {
+            &true
+        } else {
+            &false
+        }
+    }
+}
+
+impl PartialEq for Bits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let full = self.len / WORD_BITS;
+        let tail = self.len % WORD_BITS;
+        self.len == other.len
+            && self.words[..full] == other.words[..full]
+            && (tail == 0 || (self.words[full] ^ other.words[full]) & ((1u64 << tail) - 1) == 0)
+    }
+}
+
+impl Eq for Bits<'_> {}
+
+impl fmt::Debug for Bits<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len).map(|i| self[i]))
+            .finish()
+    }
+}
+
+/// Bit `v` of a packed word buffer.
+#[inline]
+fn bit(words: &[u64], v: usize) -> bool {
+    words[v / WORD_BITS] >> (v % WORD_BITS) & 1 != 0
+}
+
+/// Sets bit `v` of a packed word buffer.
+#[inline]
+fn set_bit(words: &mut [u64], v: usize) {
+    words[v / WORD_BITS] |= 1u64 << (v % WORD_BITS);
+}
+
+/// Calls `f` on the index of every set bit, ascending.
+#[inline]
+fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in words.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(wi * WORD_BITS + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
 }
 
 /// Result of a completed (or capped) simulation run.
@@ -57,13 +148,14 @@ pub struct RunOutcome {
     metrics: Metrics,
     trace: Trace,
     kernel_used: PropagationKernel,
+    shards_used: usize,
 }
 
 impl PartialEq for RunOutcome {
     fn eq(&self, other: &Self) -> bool {
-        // `kernel_used` is diagnostic, not part of the semantic outcome:
-        // the kernel-equivalence contract is precisely that runs compare
-        // equal *across* kernels.
+        // `kernel_used` and `shards_used` are diagnostic, not part of the
+        // semantic outcome: the kernel- and sharding-equivalence contracts
+        // are precisely that runs compare equal *across* them.
         self.statuses == other.statuses
             && self.rounds == other.rounds
             && self.terminated == other.terminated
@@ -129,6 +221,20 @@ impl RunOutcome {
     #[must_use]
     pub fn kernel_used(&self) -> PropagationKernel {
         self.kernel_used
+    }
+
+    /// The number of shards the run's bitset pull direction actually split
+    /// into.
+    ///
+    /// This is the configured [`shards`](SimConfig::shards) (`0` resolved
+    /// to one per core), capped at one shard per 64-node word, on the
+    /// counter-mode bitset kernel — and `1` on every other path, which is
+    /// sequential regardless of the request (for example a scenario that
+    /// forces the scalar reference path). Excluded from `PartialEq`:
+    /// outcomes are shard-independent by contract.
+    #[must_use]
+    pub fn shards_used(&self) -> usize {
+        self.shards_used
     }
 }
 
@@ -234,18 +340,25 @@ pub struct Stepper<'g, F: ProcessFactory, G: GraphView + ?Sized = Graph> {
     fault_rng: SmallRng,
     metrics: Metrics,
     trace: Trace,
-    beep1: Vec<bool>,
-    beep2: Vec<bool>,
-    heard1: Vec<bool>,
-    heard2: Vec<bool>,
+    // Beeps and hears of both exchanges, one bit per node.
+    beep1: Vec<u64>,
+    beep2: Vec<u64>,
+    heard1: Vec<u64>,
+    heard2: Vec<u64>,
     probs: Vec<f64>,
-    // Scratch buffers for the bitset kernel, one bit per node.
-    beep_words: Vec<u64>,
-    heard_words: Vec<u64>,
-    // Merged wake schedule: the later of the fault plan's and the
-    // scenario's wake round, per node.
-    wake: Vec<u32>,
-    sleepy: bool,
+    // Ascending ids of exactly the nodes whose status is `Active`
+    // (churned-away ones included); every per-node phase runs over it.
+    active: Vec<NodeId>,
+    // MIS members in join order; they drive the heartbeats.
+    members: Vec<NodeId>,
+    // Nodes that left `active` in the last round; their `probs` entries
+    // are zeroed at the top of the next round.
+    left: Vec<NodeId>,
+    // Sleeping nodes sorted by (wake round, id): the later of the fault
+    // plan's and the scenario's wake round. Entries before `woken` are
+    // awake; the rest are exactly the nodes still `Asleep`.
+    wake_queue: Vec<(u32, NodeId)>,
+    woken: usize,
     // Churn scratch: which nodes are absent this round.
     away: Vec<bool>,
     // Scenario-delayed deliveries per exchange: (arrival round, receiver).
@@ -269,26 +382,24 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             let degrees: Vec<usize> = (0..n as NodeId).map(|v| graph.degree(v)).collect();
             s.wake_schedule(&degrees)
         });
-        let wake: Vec<u32> = (0..n as NodeId)
-            .map(|v| {
-                let from_scenario = scenario_wake
-                    .as_ref()
-                    .and_then(|w| w.get(v as usize).copied())
-                    .unwrap_or(0);
-                config.faults.wake_round(v).max(from_scenario)
-            })
-            .collect();
-        let sleepy = wake.iter().any(|&w| w > 0);
-        let status: Vec<NodeStatus> = wake
-            .iter()
-            .map(|&w| {
-                if w > 0 {
-                    NodeStatus::Asleep
-                } else {
-                    NodeStatus::Active
-                }
-            })
-            .collect();
+        let mut active = Vec::new();
+        let mut wake_queue = Vec::new();
+        let mut status = Vec::with_capacity(n);
+        for v in 0..n as NodeId {
+            let from_scenario = scenario_wake
+                .as_ref()
+                .and_then(|w| w.get(v as usize).copied())
+                .unwrap_or(0);
+            let wake = config.faults.wake_round(v).max(from_scenario);
+            if wake > 0 {
+                wake_queue.push((wake, v));
+                status.push(NodeStatus::Asleep);
+            } else {
+                active.push(v);
+                status.push(NodeStatus::Active);
+            }
+        }
+        wake_queue.sort_unstable();
         let rngs: Vec<SmallRng> = if config.rng == RngMode::Counter {
             // Counter mode reseeds per (node, round); no standing streams.
             Vec::new()
@@ -311,17 +422,20 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         } else {
             config.kernel
         };
-        // Sharding splits the bitset pull direction only; the scalar and
-        // scenario reference paths stay sequential regardless.
+        // Sharding splits the bitset pull direction only, into word-aligned
+        // listener ranges; the scalar and scenario reference paths stay
+        // sequential regardless.
+        let words = n.div_ceil(WORD_BITS);
         let shards = if config.rng == RngMode::Counter && kernel_used == PropagationKernel::Bitset {
             match config.shards {
                 0 => crate::batch::auto_jobs(),
                 s => s,
             }
+            .min(words)
+            .max(1)
         } else {
             1
         };
-        let remaining = status.iter().filter(|s| !s.is_inactive()).count();
         Self {
             graph,
             config,
@@ -334,19 +448,20 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             fault_rng,
             metrics: Metrics::new(n),
             trace: Trace::default(),
-            beep1: vec![false; n],
-            beep2: vec![false; n],
-            heard1: vec![false; n],
-            heard2: vec![false; n],
+            beep1: vec![0; words],
+            beep2: vec![0; words],
+            heard1: vec![0; words],
+            heard2: vec![0; words],
             probs: vec![0.0; n],
-            beep_words: vec![0; n.div_ceil(WORD_BITS)],
-            heard_words: vec![0; n.div_ceil(WORD_BITS)],
-            wake,
-            sleepy,
+            active,
+            members: Vec::new(),
+            left: Vec::new(),
+            wake_queue,
+            woken: 0,
             away: vec![false; n],
             pending1: Vec::new(),
             pending2: Vec::new(),
-            remaining,
+            remaining: n,
             round: 0,
         }
     }
@@ -357,6 +472,37 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         self.remaining == 0 || self.round >= self.config.max_rounds
     }
 
+    /// Wakes the sleeping nodes due by `round`, merging them into the
+    /// ascending active list.
+    fn wake_due(&mut self, round: u32) {
+        let first = self.woken;
+        while self
+            .wake_queue
+            .get(self.woken)
+            .is_some_and(|&(wake, _)| wake <= round)
+        {
+            self.woken += 1;
+        }
+        // Rounds advance one at a time from 0 and every queued wake round
+        // is positive, so a due batch shares one wake round and is
+        // ascending by id.
+        let due = &self.wake_queue[first..self.woken];
+        if due.is_empty() {
+            return;
+        }
+        let mut merged = Vec::with_capacity(self.active.len() + due.len());
+        let mut rest = self.active.as_slice();
+        for &(_, v) in due {
+            self.status[v as usize] = NodeStatus::Active;
+            let split = rest.partition_point(|&u| u < v);
+            merged.extend_from_slice(&rest[..split]);
+            merged.push(v);
+            rest = &rest[split..];
+        }
+        merged.extend_from_slice(rest);
+        self.active = merged;
+    }
+
     /// Propagates one exchange's beeps (`exchange1` picks the
     /// `beep1`/`heard1` buffer pair, otherwise `beep2`/`heard2`) through
     /// the kernel the flags select. `scenario` is `Some` only on the
@@ -365,7 +511,6 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         &mut self,
         exchange1: bool,
         bitset: bool,
-        sleepy: bool,
         lossy: bool,
         scenario: Option<&dyn Scenario>,
         churn: bool,
@@ -413,11 +558,9 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             broadcast_bitset(
                 self.graph,
                 &self.status,
-                sleepy,
+                &self.wake_queue[self.woken..],
                 beeps,
                 heard,
-                &mut self.beep_words,
-                &mut self.heard_words,
                 counter_loss,
                 self.shards,
             );
@@ -455,13 +598,17 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         debug_assert!(!scenario_path || self.kernel_used == PropagationKernel::Scalar);
         let bitset = self.kernel_used == PropagationKernel::Bitset;
         let counter = self.config.rng == RngMode::Counter;
-        let sleepy = self.sleepy;
+        let heartbeat = self.config.mis_keeps_beeping;
+
+        // Nodes that left last round stop reporting a probability.
+        for &v in &self.left {
+            self.probs[v as usize] = 0.0;
+        }
+        self.left.clear();
 
         // Wake sleeping nodes whose time has come.
-        for v in 0..n {
-            if self.status[v] == NodeStatus::Asleep && self.wake[v] <= round {
-                self.status[v] = NodeStatus::Active;
-            }
+        if self.woken < self.wake_queue.len() {
+            self.wake_due(round);
         }
 
         // Churn: mark who is absent this round. An absent node is frozen —
@@ -474,92 +621,93 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             }
         }
 
-        // Snapshot probabilities (observer/stepper visibility).
-        for v in 0..n {
-            self.probs[v] = if self.status[v] == NodeStatus::Active && !(churn && self.away[v]) {
-                self.processes[v].beep_probability()
-            } else {
-                0.0
-            };
-        }
-
-        // Exchange 1: candidate beeps. With the heartbeat repair, MIS
+        // Snapshot probabilities (observer/stepper visibility), then
+        // exchange 1: candidate beeps. With the heartbeat repair, MIS
         // members also beep here, persistently inhibiting late wakers from
         // claiming next to them (like sustained Delta expression by SOP
         // cells).
         let mut candidates: u32 = 0;
-        for v in 0..n {
-            self.beep1[v] = if churn && self.away[v] {
-                false
-            } else {
-                match self.status[v] {
-                    NodeStatus::Active => {
-                        // Counter mode: a fresh per-(node, round) stream,
-                        // so the round's draws are pure in (master, v,
-                        // round). Stream mode: the node's standing stream.
-                        let b = if counter {
-                            let mut tmp = SmallRng::seed_from_u64(round_seed(
-                                self.master_seed,
-                                v as NodeId,
-                                round,
-                            ));
-                            self.processes[v].exchange1(&mut tmp)
-                        } else {
-                            self.processes[v].exchange1(&mut self.rngs[v])
-                        };
-                        candidates += u32::from(b);
-                        b
-                    }
-                    NodeStatus::InMis if self.config.mis_keeps_beeping => {
-                        self.metrics.heartbeat_signals += 1;
-                        true
-                    }
-                    _ => false,
-                }
-            };
-        }
-        self.broadcast_exchange(true, bitset, sleepy, lossy, scenario_ref, churn);
-
-        // Exchange 2: join announcements (plus optional MIS heartbeats).
-        for v in 0..n {
-            self.beep2[v] = if churn && self.away[v] {
-                false
-            } else {
-                match self.status[v] {
-                    NodeStatus::Active => self.processes[v].exchange2(self.heard1[v]),
-                    NodeStatus::InMis if self.config.mis_keeps_beeping => {
-                        self.metrics.heartbeat_signals += 1;
-                        true
-                    }
-                    _ => false,
-                }
-            };
-        }
-        self.broadcast_exchange(false, bitset, sleepy, lossy, scenario_ref, churn);
-
-        // Decisions and metric accounting.
-        let mut joined: Vec<NodeId> = Vec::new();
-        let mut covered: u32 = 0;
-        for v in 0..n {
-            if self.status[v] != NodeStatus::Active || (churn && self.away[v]) {
+        self.beep1.fill(0);
+        for &v in &self.active {
+            let vi = v as usize;
+            if churn && self.away[vi] {
+                self.probs[vi] = 0.0;
                 continue;
             }
-            self.metrics.signals[v] += u32::from(self.beep1[v]) + u32::from(self.beep2[v]);
-            self.metrics.beeps[v] += u32::from(self.beep1[v] || self.beep2[v]);
-            match self.processes[v].end_round(self.heard2[v]) {
-                Verdict::Continue => {}
-                Verdict::JoinMis => {
-                    self.status[v] = NodeStatus::InMis;
-                    joined.push(v as NodeId);
-                    self.remaining -= 1;
-                }
-                Verdict::Covered => {
-                    self.status[v] = NodeStatus::Covered;
-                    covered += 1;
-                    self.remaining -= 1;
+            self.probs[vi] = self.processes[vi].beep_probability();
+            // Counter mode: a fresh per-(node, round) stream, so the
+            // round's draws are pure in (master, v, round). Stream mode:
+            // the node's standing stream.
+            let b = if counter {
+                let mut tmp = SmallRng::seed_from_u64(round_seed(self.master_seed, v, round));
+                self.processes[vi].exchange1(&mut tmp)
+            } else {
+                self.processes[vi].exchange1(&mut self.rngs[vi])
+            };
+            if b {
+                candidates += 1;
+                set_bit(&mut self.beep1, vi);
+            }
+        }
+        if heartbeat {
+            for &v in &self.members {
+                if !(churn && self.away[v as usize]) {
+                    self.metrics.heartbeat_signals += 1;
+                    set_bit(&mut self.beep1, v as usize);
                 }
             }
         }
+        self.broadcast_exchange(true, bitset, lossy, scenario_ref, churn);
+
+        // Exchange 2: join announcements (plus optional MIS heartbeats).
+        self.beep2.fill(0);
+        for &v in &self.active {
+            let vi = v as usize;
+            if !(churn && self.away[vi]) && self.processes[vi].exchange2(bit(&self.heard1, vi)) {
+                set_bit(&mut self.beep2, vi);
+            }
+        }
+        if heartbeat {
+            for &v in &self.members {
+                if !(churn && self.away[v as usize]) {
+                    self.metrics.heartbeat_signals += 1;
+                    set_bit(&mut self.beep2, v as usize);
+                }
+            }
+        }
+        self.broadcast_exchange(false, bitset, lossy, scenario_ref, churn);
+
+        // Decisions and metric accounting; the active list compacts in
+        // place, keeping its ascending order.
+        let mut joined: Vec<NodeId> = Vec::new();
+        let mut covered: u32 = 0;
+        self.active.retain(|&v| {
+            let vi = v as usize;
+            if churn && self.away[vi] {
+                return true;
+            }
+            let b1 = bit(&self.beep1, vi);
+            let b2 = bit(&self.beep2, vi);
+            self.metrics.signals[vi] += u32::from(b1) + u32::from(b2);
+            self.metrics.beeps[vi] += u32::from(b1 || b2);
+            match self.processes[vi].end_round(bit(&self.heard2, vi)) {
+                Verdict::Continue => return true,
+                Verdict::JoinMis => {
+                    self.status[vi] = NodeStatus::InMis;
+                    joined.push(v);
+                    if heartbeat {
+                        self.members.push(v);
+                    }
+                }
+                Verdict::Covered => {
+                    self.status[vi] = NodeStatus::Covered;
+                    covered += 1;
+                }
+            }
+            self.remaining -= 1;
+            self.left.push(v);
+            false
+        });
 
         if self.config.record_active_series {
             self.metrics.active_series.push(self.active_count());
@@ -585,10 +733,11 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     #[must_use]
     pub fn last_round_view(&self) -> RoundView<'_> {
         assert!(self.round > 0, "no round has been executed yet");
+        let n = self.status.len();
         RoundView {
             round: self.round - 1,
-            beeped: &self.beep1,
-            heard: &self.heard1,
+            beeped: Bits::new(&self.beep1, n),
+            heard: Bits::new(&self.heard1, n),
             status: &self.status,
             probabilities: &self.probs,
         }
@@ -607,7 +756,8 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     }
 
     /// Beep probabilities captured at the start of the last executed round
-    /// (all zeros before the first step).
+    /// (all zeros before the first step; 0 for any node that was inactive,
+    /// asleep or absent then).
     #[must_use]
     pub fn probabilities(&self) -> &[f64] {
         &self.probs
@@ -616,10 +766,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     /// Number of currently active nodes.
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.status
-            .iter()
-            .filter(|s| **s == NodeStatus::Active)
-            .count()
+        self.active.len()
     }
 
     /// Metrics accumulated so far.
@@ -641,6 +788,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             metrics: self.metrics,
             trace: self.trace,
             kernel_used: self.kernel_used,
+            shards_used: self.shards,
         }
     }
 
@@ -690,14 +838,11 @@ fn broadcast<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
     drop: &mut LossDraw<'_>,
-    beeps: &[bool],
-    heard: &mut [bool],
+    beeps: &[u64],
+    heard: &mut [u64],
 ) {
-    heard.fill(false);
-    for (v, &b) in beeps.iter().enumerate() {
-        if !b {
-            continue;
-        }
+    heard.fill(0);
+    for_each_set_bit(beeps, |v| {
         // Ascending neighbour order is part of the GraphView contract, so
         // a stream-mode loss draw consumes the fault RNG in exactly the
         // CSR reference order (counter-mode draws are order-free anyway).
@@ -709,9 +854,9 @@ fn broadcast<G: GraphView + ?Sized>(
             if drop.dropped(v as NodeId, u) {
                 return;
             }
-            heard[u as usize] = true;
+            set_bit(heard, u as usize);
         });
-    }
+    });
 }
 
 /// The scenario reference path: like [`broadcast`], but each delivery's
@@ -734,15 +879,12 @@ fn broadcast_scenario<G: GraphView + ?Sized>(
     scenario: &dyn Scenario,
     round: u32,
     exchange: u32,
-    beeps: &[bool],
-    heard: &mut [bool],
+    beeps: &[u64],
+    heard: &mut [u64],
     pending: &mut Vec<(u32, NodeId)>,
 ) {
-    heard.fill(false);
-    for (v, &b) in beeps.iter().enumerate() {
-        if !b {
-            continue;
-        }
+    heard.fill(0);
+    for_each_set_bit(beeps, |v| {
         graph.for_each_neighbor(v as NodeId, |u| {
             let ui = u as usize;
             // Sleeping and absent nodes hear nothing.
@@ -753,12 +895,12 @@ fn broadcast_scenario<G: GraphView + ?Sized>(
                 return;
             }
             match scenario.delivery(v as NodeId, u, round, exchange) {
-                Delivery::OnTime => heard[ui] = true,
+                Delivery::OnTime => set_bit(heard, ui),
                 Delivery::Dropped => {}
                 Delivery::Delayed(d) => pending.push((round + d.max(1), u)),
             }
         });
-    }
+    });
     // Deliver the delayed beeps whose round has come (entries pushed above
     // always have a strictly later arrival round, so they survive).
     pending.retain(|&(due, u)| {
@@ -767,31 +909,10 @@ fn broadcast_scenario<G: GraphView + ?Sized>(
         }
         let ui = u as usize;
         if status[ui] != NodeStatus::Asleep && !(churn && away[ui]) {
-            heard[ui] = true;
+            set_bit(heard, ui);
         }
         false
     });
-}
-
-/// Packs a `bool`-per-node buffer into one bit per node, little-endian
-/// within each `u64` word.
-fn pack_bits(bits: &[bool], words: &mut [u64]) {
-    for (word, chunk) in words.iter_mut().zip(bits.chunks(WORD_BITS)) {
-        let mut w = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            w |= u64::from(b) << i;
-        }
-        *word = w;
-    }
-}
-
-/// Unpacks one bit per node back into a `bool`-per-node buffer.
-fn unpack_bits(words: &[u64], bits: &mut [bool]) {
-    for (chunk, &word) in bits.chunks_mut(WORD_BITS).zip(words) {
-        for (i, b) in chunk.iter_mut().enumerate() {
-            *b = (word >> i) & 1 != 0;
-        }
-    }
 }
 
 /// Whether listener `v` hears any beeping neighbour, via the word-grouped
@@ -889,8 +1010,8 @@ fn pull_heard_words<G: GraphView + ?Sized>(
 ///   the beep bitset. When half the network beeps, the expected scan is a
 ///   couple of words regardless of degree.
 /// * **push** (sparse beeps) — scan the beep words, skip zero words whole,
-///   and OR each beeper's neighbour bits into the heard bitset; asleep
-///   listeners are cleared afterwards in one pass.
+///   and OR each beeper's neighbour bits into the heard bitset; the
+///   `asleep` listeners (the undrained wake queue) are cleared afterwards.
 ///
 /// The density heuristic picks the direction first; sharding then only
 /// applies to the pull direction, whose per-listener gather writes only
@@ -899,24 +1020,20 @@ fn pull_heard_words<G: GraphView + ?Sized>(
 /// slot)`, so the early exit, the evaluation order, and the direction are
 /// all free: both directions produce identical results, and mixing them
 /// across configurations never changes an outcome.
-#[allow(clippy::too_many_arguments)]
 fn broadcast_bitset<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
-    sleepy: bool,
-    beeps: &[bool],
-    heard: &mut [bool],
-    beep_words: &mut [u64],
+    asleep: &[(u32, NodeId)],
+    beep_words: &[u64],
     heard_words: &mut [u64],
     loss: Option<CounterLoss>,
     shards: usize,
 ) {
     let n = graph.node_count();
-    pack_bits(beeps, beep_words);
+    let sleepy = !asleep.is_empty();
     heard_words.fill(0);
     let beepers: usize = beep_words.iter().map(|w| w.count_ones() as usize).sum();
     let words = heard_words.len();
-    let shards = shards.min(words);
     if beepers == 0 {
         // Nothing beeped; nothing can be heard.
     } else if beepers * PULL_CROSSOVER < n {
@@ -925,33 +1042,23 @@ fn broadcast_bitset<G: GraphView + ?Sized>(
         // receiver, slot)), so pushing stays bit-identical to pulling —
         // sharded configurations take this branch too, because pushing a
         // sparse exchange is cheaper than any parallel pull over it.
-        for (wi, &word) in beep_words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let v = wi * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                graph.for_each_neighbor(v as NodeId, |u| {
-                    if let Some(cl) = loss {
-                        if loss_dropped(cl.master, v as NodeId, u, cl.slot, cl.loss) {
-                            return;
-                        }
+        for_each_set_bit(beep_words, |v| {
+            graph.for_each_neighbor(v as NodeId, |u| {
+                if let Some(cl) = loss {
+                    if loss_dropped(cl.master, v as NodeId, u, cl.slot, cl.loss) {
+                        return;
                     }
-                    heard_words[u as usize / WORD_BITS] |= 1u64 << (u as usize % WORD_BITS);
-                });
-            }
-        }
-        if sleepy {
-            // Sleeping nodes hear nothing.
-            for (v, s) in status.iter().enumerate() {
-                if *s == NodeStatus::Asleep {
-                    heard_words[v / WORD_BITS] &= !(1u64 << (v % WORD_BITS));
                 }
-            }
+                set_bit(heard_words, u as usize);
+            });
+        });
+        // Sleeping nodes hear nothing.
+        for &(_, v) in asleep {
+            heard_words[v as usize / WORD_BITS] &= !(1u64 << (v as usize % WORD_BITS));
         }
     } else if shards > 1 {
         // Sharded pull over word-aligned listener chunks: each worker
         // computes its own output words, merged back by index.
-        let beep_words: &[u64] = beep_words;
         let chunk_words = words.div_ceil(shards);
         let chunks = words.div_ceil(chunk_words);
         let parts: Vec<Vec<u64>> = crate::batch::parallel_indexed_map(chunks, shards, |c| {
@@ -968,11 +1075,10 @@ fn broadcast_bitset<G: GraphView + ?Sized>(
     } else {
         pull_heard_words(graph, status, sleepy, beep_words, loss, 0, heard_words);
     }
-    unpack_bits(heard_words, heard);
 }
 
-impl<F: ProcessFactory, G: GraphView + ?Sized> core::fmt::Debug for Simulator<'_, F, G> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+impl<F: ProcessFactory, G: GraphView + ?Sized> fmt::Debug for Simulator<'_, F, G> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulator")
             .field("nodes", &self.stepper.graph.node_count())
             .field("config", &self.stepper.config)
@@ -980,8 +1086,8 @@ impl<F: ProcessFactory, G: GraphView + ?Sized> core::fmt::Debug for Simulator<'_
     }
 }
 
-impl<F: ProcessFactory, G: GraphView + ?Sized> core::fmt::Debug for Stepper<'_, F, G> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+impl<F: ProcessFactory, G: GraphView + ?Sized> fmt::Debug for Stepper<'_, F, G> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Stepper")
             .field("nodes", &self.graph.node_count())
             .field("round", &self.round)
@@ -1260,15 +1366,136 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_round_trip() {
+    fn bits_view_indexes_across_word_boundaries() {
         for n in [0usize, 1, 63, 64, 65, 130] {
-            let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+            let expected: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             let mut words = vec![0u64; n.div_ceil(WORD_BITS)];
-            pack_bits(&bits, &mut words);
-            let mut back = vec![false; n];
-            unpack_bits(&words, &mut back);
-            assert_eq!(back, bits, "n = {n}");
+            for i in (0..n).filter(|i| i % 3 == 0) {
+                set_bit(&mut words, i);
+            }
+            let bits = Bits::new(&words, n);
+            assert_eq!(bits.len(), n);
+            assert_eq!(bits.is_empty(), n == 0);
+            for (i, &b) in expected.iter().enumerate() {
+                assert_eq!(bits[i], b, "n = {n}, bit {i}");
+            }
+            assert_eq!(format!("{bits:?}"), format!("{expected:?}"));
+            let copy = words.clone();
+            assert_eq!(bits, Bits::new(&copy, n));
+            if n > 0 {
+                // Flipping the last in-range bit breaks equality.
+                let mut flipped = words.clone();
+                flipped[(n - 1) / WORD_BITS] ^= 1u64 << ((n - 1) % WORD_BITS);
+                assert_ne!(bits, Bits::new(&flipped, n), "n = {n}");
+                // A shorter view differs by length alone.
+                let shorter = Bits::new(&words[..(n - 1).div_ceil(WORD_BITS)], n - 1);
+                assert_ne!(bits, shorter, "n = {n}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bits_view_rejects_out_of_range_index() {
+        let words = [u64::MAX];
+        let _ = Bits::new(&words, 5)[5];
+    }
+
+    #[test]
+    fn active_list_tracks_statuses_every_round() {
+        use crate::scenario::{ChurnModel, ScenarioSpec};
+        use std::sync::Arc;
+
+        let g = generators::gnp(140, 0.05, &mut rand::rngs::SmallRng::seed_from_u64(12));
+        let wake_rounds: Vec<u32> = (0..140).map(|v| (v % 6) * 3).collect();
+        let churn = Arc::new(ScenarioSpec::new(4).with_churn(ChurnModel::Random {
+            p: 0.2,
+            max_len: 5,
+            earliest: 0,
+            latest: 15,
+        }));
+        for (name, scenario) in [("wake", None), ("churn", Some(churn))] {
+            for rng in [RngMode::Stream, RngMode::Counter] {
+                let mut cfg = SimConfig::default()
+                    .with_max_rounds(3_000)
+                    .with_rng_mode(rng)
+                    .with_mis_keeps_beeping(true)
+                    .with_faults(FaultPlan {
+                        message_loss: 0.0,
+                        wake_rounds: wake_rounds.clone(),
+                    });
+                if let Some(s) = scenario.clone() {
+                    cfg = cfg.with_scenario(s);
+                }
+                let mut stepper =
+                    Simulator::new(&g, &Coin::factory(0.3), 5, cfg.clone()).into_stepper();
+                while !stepper.is_done() {
+                    stepper.step();
+                    let round = stepper.round() - 1;
+                    let expected: Vec<NodeId> = (0..g.node_count() as NodeId)
+                        .filter(|&v| stepper.status[v as usize] == NodeStatus::Active)
+                        .collect();
+                    assert!(
+                        stepper.active.windows(2).all(|w| w[0] < w[1]),
+                        "{name}: active list not strictly ascending in round {round}"
+                    );
+                    assert_eq!(stepper.active, expected, "{name} round {round}");
+                    assert_eq!(stepper.active_count(), expected.len());
+                    for (v, &p) in stepper.probabilities().iter().enumerate() {
+                        let away = cfg
+                            .scenario
+                            .as_deref()
+                            .is_some_and(|s| s.absent(v as NodeId, round));
+                        let awake_active = stepper.status[v] == NodeStatus::Active
+                            || stepper.left.contains(&(v as NodeId));
+                        assert!(
+                            p == 0.0 || (awake_active && !away),
+                            "{name}: node {v} reports p = {p} in round {round}"
+                        );
+                    }
+                }
+                assert!(stepper.finish().terminated(), "{name} {rng:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn shards_used_reports_the_effective_split() {
+        use crate::scenario::ScenarioSpec;
+        use std::sync::Arc;
+
+        // Enough 64-node words that neither 4 shards nor one per core is
+        // capped by the word count.
+        let n = WORD_BITS * crate::batch::auto_jobs().max(4);
+        let g = generators::cycle(n);
+        let counter = SimConfig::default().with_rng_mode(RngMode::Counter);
+        let run = |cfg: SimConfig| Simulator::new(&g, &Coin::factory(0.5), 3, cfg).run();
+        // A scenario that forces the scalar reference path runs on 1 shard,
+        // whatever was asked.
+        let fallback = run(counter
+            .clone()
+            .with_shards(4)
+            .with_scenario(Arc::new(ScenarioSpec::uniform_loss(1, 0.1))));
+        assert_eq!(fallback.kernel_used(), PropagationKernel::Scalar);
+        assert_eq!(fallback.shards_used(), 1);
+        let sharded = run(counter.clone().with_shards(4));
+        assert_eq!(sharded.kernel_used(), PropagationKernel::Bitset);
+        assert_eq!(sharded.shards_used(), 4);
+        assert_eq!(
+            run(counter.clone().with_shards(0)).shards_used(),
+            crate::batch::auto_jobs()
+        );
+        assert_eq!(run(counter).shards_used(), 1);
+        // A graph of fewer words than shards splits once per word.
+        let small = generators::cycle(100);
+        let capped = Simulator::new(
+            &small,
+            &Coin::factory(0.5),
+            3,
+            SimConfig::default().with_shards(4),
+        )
+        .run();
+        assert_eq!(capped.shards_used(), 2);
     }
 
     #[test]
