@@ -235,13 +235,22 @@ pub struct SimConfig {
     /// [`RngMode::Stream`], which keeps existing replay artifacts
     /// byte-identical).
     pub rng: RngMode,
-    /// Intra-run shard count for the propagation phase: the bitset
-    /// kernel's pull direction splits its listener range across this many
-    /// scoped worker threads. `1` (the default) runs sequentially; `0`
-    /// means one shard per available core. Requires
-    /// [`RngMode::Counter`] to take effect (stream draws are
-    /// order-coupled), and the outcomes are bit-identical for every shard
-    /// count — `tests/sharding_equivalence.rs` pins this.
+    /// Intra-run shard count: each round splits the nodes into this many
+    /// word-aligned ranges (at most one per 64-node word), and each range
+    /// is run by its own scoped worker thread, the calling thread taking
+    /// the first. A shard owns its range for the whole round: its
+    /// processes, probabilities, statuses, beep and signal counters, its
+    /// words of the beep and hear buffers, and its stretch of the active
+    /// list. The per-node phases (probability snapshot with the
+    /// exchange-1 draws, the exchange-2 automaton, decide/metrics with
+    /// active-list compaction) split while at least 4096 nodes are
+    /// active; the bitset kernel's pull direction splits whenever it
+    /// runs. Pushes, heartbeats and sparse rounds stay on the calling
+    /// thread. `1` (the default) runs sequentially; `0` means one shard
+    /// per available core. Requires [`RngMode::Counter`] and the bitset
+    /// kernel to take effect (stream draws are order-coupled), and the
+    /// outcomes are bit-identical for every shard count —
+    /// `tests/sharding_equivalence.rs` pins this.
     pub shards: usize,
     /// Optional composable adversary (defaults to none). A scenario
     /// layers on top of `faults`: wake rounds merge by taking the later

@@ -26,7 +26,11 @@ use crate::{NetworkInfo, Verdict};
 ///
 /// Processes must remember across calls whatever they need (typically: did
 /// I beep, did I hear).
-pub trait BeepingProcess {
+///
+/// Processes are `Send` because a sharded run (see
+/// [`SimConfig::shards`](crate::SimConfig::shards)) hands each shard's
+/// processes to its own thread within a round.
+pub trait BeepingProcess: Send {
     /// First exchange: decide whether to beep, using the node's private
     /// random stream.
     fn exchange1(&mut self, rng: &mut SmallRng) -> bool;

@@ -29,6 +29,12 @@ const WORD_BITS: usize = 64;
 /// beeper. Both directions give identical results; this only tunes speed.
 const PULL_CROSSOVER: usize = 8;
 
+/// Active-list length below which a round's per-node phases run as one
+/// part on the calling thread even when the run is sharded: a scoped
+/// spawn and join costs tens of microseconds, more than the per-node work
+/// of a sparse round saves.
+const SHARD_MIN_ACTIVE: usize = 4096;
+
 /// Read-only view of one completed round, passed to observers registered
 /// via [`Simulator::run_with_observer`].
 ///
@@ -127,6 +133,56 @@ fn set_bit(words: &mut [u64], v: usize) {
     words[v / WORD_BITS] |= 1u64 << (v % WORD_BITS);
 }
 
+/// Words per shard when `words` packed words split into `shards`
+/// word-aligned ranges (the last range may be shorter, and fewer ranges
+/// than `shards` may result).
+fn chunk_words(words: usize, shards: usize) -> usize {
+    words.div_ceil(shards).max(1)
+}
+
+/// Runs `f` on every part, the first on the calling thread and each other
+/// on its own scoped thread, and returns the results in part order. A
+/// panic in any part resumes on the calling thread.
+fn run_parts<S: Send, T: Send>(parts: Vec<S>, f: impl Fn(S) -> T + Sync) -> Vec<T> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    if parts.len() == 0 {
+        return vec![f(first)];
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = parts.map(|part| scope.spawn(move || f(part))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(f(first));
+        for handle in handles {
+            out.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        out
+    })
+}
+
+/// Splits the first `k` elements (all of them, if fewer) off the front of
+/// `s`.
+fn take_front<'a, T>(s: &mut &'a mut [T], k: usize) -> &'a mut [T] {
+    let k = k.min(s.len());
+    let (front, rest) = core::mem::take(s).split_at_mut(k);
+    *s = rest;
+    front
+}
+
+/// Shared-slice twin of [`take_front`].
+fn take_front_ref<'a, T>(s: &mut &'a [T], k: usize) -> &'a [T] {
+    let (front, rest) = s.split_at(k.min(s.len()));
+    *s = rest;
+    front
+}
+
 /// Calls `f` on the index of every set bit, ascending.
 #[inline]
 fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
@@ -223,15 +279,20 @@ impl RunOutcome {
         self.kernel_used
     }
 
-    /// The number of shards the run's bitset pull direction actually split
-    /// into.
+    /// The number of shards the run's rounds actually split into.
     ///
-    /// This is the configured [`shards`](SimConfig::shards) (`0` resolved
-    /// to one per core), capped at one shard per 64-node word, on the
-    /// counter-mode bitset kernel — and `1` on every other path, which is
+    /// On the counter-mode bitset kernel this is the number of word-aligned
+    /// node ranges the configured [`shards`](SimConfig::shards) (`0`
+    /// resolved to one per core) yields: the request, capped at one range
+    /// per 64-node word. Every other path reports `1`, since it is
     /// sequential regardless of the request (for example a scenario that
-    /// forces the scalar reference path). Excluded from `PartialEq`:
-    /// outcomes are shard-independent by contract.
+    /// forces the scalar reference path). Each shard owns one word-aligned
+    /// node range for the whole round. A round's per-node phases (the
+    /// probability snapshot with the exchange-1 draws, the exchange-2
+    /// automaton, and decide/metrics with active-list compaction) split
+    /// only while at least 4096 nodes are active; the dense-beep pull
+    /// always splits. Excluded from `PartialEq`: outcomes are
+    /// shard-independent by contract.
     #[must_use]
     pub fn shards_used(&self) -> usize {
         self.shards_used
@@ -330,7 +391,7 @@ pub struct Stepper<'g, F: ProcessFactory, G: GraphView + ?Sized = Graph> {
     master_seed: u64,
     // Which kernel actually runs (resolved once from the configuration;
     // see `RunOutcome::kernel_used`), and the effective intra-run shard
-    // count for the bitset pull direction (1 = sequential).
+    // count (1 = sequential).
     kernel_used: PropagationKernel,
     shards: usize,
     processes: Vec<F::Process>,
@@ -422,17 +483,18 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         } else {
             config.kernel
         };
-        // Sharding splits the bitset pull direction only, into word-aligned
-        // listener ranges; the scalar and scenario reference paths stay
-        // sequential regardless.
+        // Sharding needs order-free draws (counter mode) and the bitset
+        // kernel; the scalar and scenario reference paths stay sequential
+        // regardless.
+        // The effective count is the number of word-aligned ranges the
+        // requested split yields: at most one per word.
         let words = n.div_ceil(WORD_BITS);
         let shards = if config.rng == RngMode::Counter && kernel_used == PropagationKernel::Bitset {
-            match config.shards {
+            let requested = match config.shards {
                 0 => crate::batch::auto_jobs(),
                 s => s,
-            }
-            .min(words)
-            .max(1)
+            };
+            words.div_ceil(chunk_words(words, requested)).max(1)
         } else {
             1
         };
@@ -501,6 +563,52 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         }
         merged.extend_from_slice(rest);
         self.active = merged;
+    }
+
+    /// Splits the per-node state into `shards` word-aligned node ranges
+    /// (the ranges the bitset pull uses too) and returns the [`Part`] of
+    /// every range that holds an active node, in ascending order.
+    fn split_parts(&mut self, shards: usize) -> Vec<Part<'_, F::Process>> {
+        let n = self.status.len();
+        let len = chunk_words(n.div_ceil(WORD_BITS), shards) * WORD_BITS;
+        let mut active = self.active.as_mut_slice();
+        let mut processes = self.processes.as_mut_slice();
+        let mut rngs = self.rngs.as_mut_slice();
+        let mut away = self.away.as_slice();
+        let mut probs = self.probs.as_mut_slice();
+        let mut status = self.status.as_mut_slice();
+        let mut signals = self.metrics.signals.as_mut_slice();
+        let mut beeps = self.metrics.beeps.as_mut_slice();
+        let mut beep1 = self.beep1.as_mut_slice();
+        let mut beep2 = self.beep2.as_mut_slice();
+        let mut heard1 = self.heard1.as_slice();
+        let mut heard2 = self.heard2.as_slice();
+        let mut parts = Vec::with_capacity(shards);
+        for lo in (0..n).step_by(len) {
+            let hi = (lo + len).min(n);
+            let words = (hi - lo).div_ceil(WORD_BITS);
+            let count = active.partition_point(|&v| (v as usize) < hi);
+            let part = Part {
+                lo,
+                active: take_front(&mut active, count),
+                processes: take_front(&mut processes, hi - lo),
+                // Empty in counter mode, so every part gets an empty slice.
+                rngs: take_front(&mut rngs, hi - lo),
+                away: take_front_ref(&mut away, hi - lo),
+                probs: take_front(&mut probs, hi - lo),
+                status: take_front(&mut status, hi - lo),
+                signals: take_front(&mut signals, hi - lo),
+                beeps: take_front(&mut beeps, hi - lo),
+                beep1: take_front(&mut beep1, words),
+                beep2: take_front(&mut beep2, words),
+                heard1: take_front_ref(&mut heard1, words),
+                heard2: take_front_ref(&mut heard2, words),
+            };
+            if !part.active.is_empty() {
+                parts.push(part);
+            }
+        }
+        parts
     }
 
     /// Propagates one exchange's beeps (`exchange1` picks the
@@ -621,34 +729,29 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
             }
         }
 
+        // The per-node phases split across the run's shards while enough
+        // nodes are active; otherwise they run as one part on this thread.
+        let shards = if self.active.len() >= SHARD_MIN_ACTIVE {
+            self.shards
+        } else {
+            1
+        };
+        let ctx = RoundCtx {
+            master: self.master_seed,
+            round,
+            counter,
+            churn,
+        };
+
         // Snapshot probabilities (observer/stepper visibility), then
         // exchange 1: candidate beeps. With the heartbeat repair, MIS
         // members also beep here, persistently inhibiting late wakers from
         // claiming next to them (like sustained Delta expression by SOP
         // cells).
-        let mut candidates: u32 = 0;
         self.beep1.fill(0);
-        for &v in &self.active {
-            let vi = v as usize;
-            if churn && self.away[vi] {
-                self.probs[vi] = 0.0;
-                continue;
-            }
-            self.probs[vi] = self.processes[vi].beep_probability();
-            // Counter mode: a fresh per-(node, round) stream, so the
-            // round's draws are pure in (master, v, round). Stream mode:
-            // the node's standing stream.
-            let b = if counter {
-                let mut tmp = SmallRng::seed_from_u64(round_seed(self.master_seed, v, round));
-                self.processes[vi].exchange1(&mut tmp)
-            } else {
-                self.processes[vi].exchange1(&mut self.rngs[vi])
-            };
-            if b {
-                candidates += 1;
-                set_bit(&mut self.beep1, vi);
-            }
-        }
+        let candidates: u32 = run_parts(self.split_parts(shards), |part| draw_beeps(part, ctx))
+            .into_iter()
+            .sum();
         if heartbeat {
             for &v in &self.members {
                 if !(churn && self.away[v as usize]) {
@@ -661,12 +764,7 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
 
         // Exchange 2: join announcements (plus optional MIS heartbeats).
         self.beep2.fill(0);
-        for &v in &self.active {
-            let vi = v as usize;
-            if !(churn && self.away[vi]) && self.processes[vi].exchange2(bit(&self.heard1, vi)) {
-                set_bit(&mut self.beep2, vi);
-            }
-        }
+        run_parts(self.split_parts(shards), |part| answer_joins(part, ctx));
         if heartbeat {
             for &v in &self.members {
                 if !(churn && self.away[v as usize]) {
@@ -677,37 +775,27 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
         }
         self.broadcast_exchange(false, bitset, lossy, scenario_ref, churn);
 
-        // Decisions and metric accounting; the active list compacts in
-        // place, keeping its ascending order.
+        // Decisions and metric accounting. Each part compacts its own
+        // stretch of the active list in place; closing the gaps between
+        // the stretches keeps the list ascending, and concatenating the
+        // parts' joined and left lists keeps them in ascending id order.
+        let decided = run_parts(self.split_parts(shards), |part| decide(part, ctx));
         let mut joined: Vec<NodeId> = Vec::new();
         let mut covered: u32 = 0;
-        self.active.retain(|&v| {
-            let vi = v as usize;
-            if churn && self.away[vi] {
-                return true;
-            }
-            let b1 = bit(&self.beep1, vi);
-            let b2 = bit(&self.beep2, vi);
-            self.metrics.signals[vi] += u32::from(b1) + u32::from(b2);
-            self.metrics.beeps[vi] += u32::from(b1 || b2);
-            match self.processes[vi].end_round(bit(&self.heard2, vi)) {
-                Verdict::Continue => return true,
-                Verdict::JoinMis => {
-                    self.status[vi] = NodeStatus::InMis;
-                    joined.push(v);
-                    if heartbeat {
-                        self.members.push(v);
-                    }
-                }
-                Verdict::Covered => {
-                    self.status[vi] = NodeStatus::Covered;
-                    covered += 1;
-                }
-            }
-            self.remaining -= 1;
-            self.left.push(v);
-            false
-        });
+        let (mut start, mut kept) = (0, 0);
+        for mut d in decided {
+            self.active.copy_within(start..start + d.kept, kept);
+            start += d.len;
+            kept += d.kept;
+            covered += d.covered;
+            joined.append(&mut d.joined);
+            self.left.append(&mut d.left);
+        }
+        self.active.truncate(kept);
+        self.remaining -= self.left.len();
+        if heartbeat {
+            self.members.extend_from_slice(&joined);
+        }
 
         if self.config.record_active_series {
             self.metrics.active_series.push(self.active_count());
@@ -798,6 +886,130 @@ impl<'g, F: ProcessFactory, G: GraphView + ?Sized> Stepper<'g, F, G> {
     pub fn kernel_used(&self) -> PropagationKernel {
         self.kernel_used
     }
+}
+
+/// One shard's share of the round state: the word-aligned node range
+/// `lo..lo + processes.len()`, every per-node buffer's slice over it
+/// (indexed by `v - lo`, bits and words alike since `lo` is a multiple of
+/// 64), and the stretch of the ascending active list that falls in it.
+///
+/// Each per-node phase is written once, over a `Part`; the sequential path
+/// is the same call on a single part covering every node.
+struct Part<'a, P> {
+    lo: usize,
+    active: &'a mut [NodeId],
+    processes: &'a mut [P],
+    rngs: &'a mut [SmallRng],
+    away: &'a [bool],
+    probs: &'a mut [f64],
+    status: &'a mut [NodeStatus],
+    signals: &'a mut [u32],
+    beeps: &'a mut [u32],
+    beep1: &'a mut [u64],
+    beep2: &'a mut [u64],
+    heard1: &'a [u64],
+    heard2: &'a [u64],
+}
+
+/// What every part of a round reads alike.
+#[derive(Clone, Copy)]
+struct RoundCtx {
+    master: u64,
+    round: u32,
+    counter: bool,
+    churn: bool,
+}
+
+/// Snapshots the part's probabilities and draws its exchange-1 beeps;
+/// returns how many of its nodes are candidates.
+fn draw_beeps<P: BeepingProcess>(part: Part<'_, P>, ctx: RoundCtx) -> u32 {
+    let mut candidates = 0;
+    for &v in part.active.iter() {
+        let i = v as usize - part.lo;
+        if ctx.churn && part.away[i] {
+            part.probs[i] = 0.0;
+            continue;
+        }
+        part.probs[i] = part.processes[i].beep_probability();
+        // Counter mode: a fresh per-(node, round) stream, so the round's
+        // draws are pure in (master, v, round) and their order is free.
+        // Stream mode: the node's standing stream.
+        let b = if ctx.counter {
+            let mut tmp = SmallRng::seed_from_u64(round_seed(ctx.master, v, ctx.round));
+            part.processes[i].exchange1(&mut tmp)
+        } else {
+            part.processes[i].exchange1(&mut part.rngs[i])
+        };
+        if b {
+            candidates += 1;
+            set_bit(part.beep1, i);
+        }
+    }
+    candidates
+}
+
+/// Runs the exchange-2 automaton of the part's present nodes on what they
+/// heard in exchange 1, setting their join-announcement beeps.
+fn answer_joins<P: BeepingProcess>(part: Part<'_, P>, ctx: RoundCtx) {
+    for &v in part.active.iter() {
+        let i = v as usize - part.lo;
+        if !(ctx.churn && part.away[i]) && part.processes[i].exchange2(bit(part.heard1, i)) {
+            set_bit(part.beep2, i);
+        }
+    }
+}
+
+/// One part's decisions: its stretch of the active list, compacted in
+/// place to the first `kept` of its `len` entries, and the nodes that
+/// left it in ascending order.
+struct Decided {
+    len: usize,
+    kept: usize,
+    covered: u32,
+    joined: Vec<NodeId>,
+    left: Vec<NodeId>,
+}
+
+/// Ends the round for the part's present nodes: accounts their signals
+/// and beeps, applies each verdict, and compacts the part's active stretch.
+fn decide<P: BeepingProcess>(part: Part<'_, P>, ctx: RoundCtx) -> Decided {
+    let mut d = Decided {
+        len: part.active.len(),
+        kept: 0,
+        covered: 0,
+        joined: Vec::new(),
+        left: Vec::new(),
+    };
+    for j in 0..part.active.len() {
+        let v = part.active[j];
+        let i = v as usize - part.lo;
+        let stays = ctx.churn && part.away[i] || {
+            let b1 = bit(part.beep1, i);
+            let b2 = bit(part.beep2, i);
+            part.signals[i] += u32::from(b1) + u32::from(b2);
+            part.beeps[i] += u32::from(b1 || b2);
+            match part.processes[i].end_round(bit(part.heard2, i)) {
+                Verdict::Continue => true,
+                Verdict::JoinMis => {
+                    part.status[i] = NodeStatus::InMis;
+                    d.joined.push(v);
+                    false
+                }
+                Verdict::Covered => {
+                    part.status[i] = NodeStatus::Covered;
+                    d.covered += 1;
+                    false
+                }
+            }
+        };
+        if stays {
+            part.active[d.kept] = v;
+            d.kept += 1;
+        } else {
+            d.left.push(v);
+        }
+    }
+    d
 }
 
 /// Per-delivery drop decision for one exchange, shared by the scalar and
@@ -965,9 +1177,9 @@ fn listener_hears_lossy<G: GraphView + ?Sized>(
 }
 
 /// Computes the heard bitset for the listeners of `out.len()` consecutive
-/// words starting at word `first_word`, in the pull direction. This is the
-/// unit of intra-run sharding: each shard owns a word-aligned listener
-/// range and writes only its own output words.
+/// words starting at word `first_word`, in the pull direction. A sharded
+/// pull calls it once per shard, on the shard's own listener range, so
+/// each call writes only its own output words.
 fn pull_heard_words<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
@@ -1015,11 +1227,13 @@ fn pull_heard_words<G: GraphView + ?Sized>(
 ///
 /// The density heuristic picks the direction first; sharding then only
 /// applies to the pull direction, whose per-listener gather writes only
-/// the listener's own bit (so word-aligned listener ranges shard without
-/// synchronisation). Counter loss draws are pure in `(sender, receiver,
-/// slot)`, so the early exit, the evaluation order, and the direction are
-/// all free: both directions produce identical results, and mixing them
-/// across configurations never changes an outcome.
+/// the listener's own bit (so the round's word-aligned shard ranges split
+/// it without synchronisation). Pushing is never sharded: a sparse
+/// exchange costs less than spawning for it. Counter loss draws are pure
+/// in `(sender, receiver, slot)`, so the early exit, the evaluation order,
+/// and the direction are all free: both directions produce identical
+/// results, and mixing them across configurations never changes an
+/// outcome.
 fn broadcast_bitset<G: GraphView + ?Sized>(
     graph: &G,
     status: &[NodeStatus],
@@ -1033,7 +1247,6 @@ fn broadcast_bitset<G: GraphView + ?Sized>(
     let sleepy = !asleep.is_empty();
     heard_words.fill(0);
     let beepers: usize = beep_words.iter().map(|w| w.count_ones() as usize).sum();
-    let words = heard_words.len();
     if beepers == 0 {
         // Nothing beeped; nothing can be heard.
     } else if beepers * PULL_CROSSOVER < n {
@@ -1056,24 +1269,14 @@ fn broadcast_bitset<G: GraphView + ?Sized>(
         for &(_, v) in asleep {
             heard_words[v as usize / WORD_BITS] &= !(1u64 << (v as usize % WORD_BITS));
         }
-    } else if shards > 1 {
-        // Sharded pull over word-aligned listener chunks: each worker
-        // computes its own output words, merged back by index.
-        let chunk_words = words.div_ceil(shards);
-        let chunks = words.div_ceil(chunk_words);
-        let parts: Vec<Vec<u64>> = crate::batch::parallel_indexed_map(chunks, shards, |c| {
-            let lo = c * chunk_words;
-            let hi = ((c + 1) * chunk_words).min(words);
-            let mut out = vec![0u64; hi - lo];
-            pull_heard_words(graph, status, sleepy, beep_words, loss, lo, &mut out);
-            out
-        });
-        for (c, part) in parts.into_iter().enumerate() {
-            let lo = c * chunk_words;
-            heard_words[lo..lo + part.len()].copy_from_slice(&part);
-        }
     } else {
-        pull_heard_words(graph, status, sleepy, beep_words, loss, 0, heard_words);
+        // Pull over the round's word-aligned shard ranges: each shard
+        // writes its own listeners' heard words in place.
+        let chunk = chunk_words(heard_words.len(), shards);
+        run_parts(
+            heard_words.chunks_mut(chunk).enumerate().collect(),
+            |(c, out)| pull_heard_words(graph, status, sleepy, beep_words, loss, c * chunk, out),
+        );
     }
 }
 
@@ -1496,6 +1699,15 @@ mod tests {
         )
         .run();
         assert_eq!(capped.shards_used(), 2);
+        // 66 words at 48 shards make ranges of 2 words: 33 of them.
+        let uneven = Simulator::new(
+            &generators::cycle(4_200),
+            &Coin::factory(0.5),
+            3,
+            SimConfig::default().with_shards(48),
+        )
+        .run();
+        assert_eq!(uneven.shards_used(), 33);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   workspace optimises: scalar reference vs bitset propagation kernel
 //!   (single-threaded), 1 worker vs N workers through the batch runner,
 //!   plus a **sharding point** (one counter-mode bitset run on a 1M+-node
-//!   graph in full mode, sequential vs 4 intra-run shards, records gated
+//!   graph in full mode, sequential vs 4 intra-run shards, and a feedback
+//!   run to termination on the same graph at 1 vs 2 shards, records gated
 //!   bit-identical). Writes `BENCH_simulator.json`.
 //! * **baselines** — the message-passing engine's inbox delivery: the
 //!   pre-refactor fresh-`Vec` path vs the arena path on a Luby-priority
@@ -297,14 +298,50 @@ fn run_simulator_suite(opts: &Options) -> Result<(), String> {
         return Err("FATAL — intra-run sharding changed the results".to_owned());
     }
 
+    // Workload 4 — the sharded round end to end: the feedback algorithm
+    // to termination on the same graph, 1 vs 2 shards. Its per-node
+    // phases and dense pulls split across the shards; its sparse tail
+    // stays sequential. Gated run for run like workload 3.
+    const FB_SHARDS: usize = 2;
+    let fb_shard_plan = |shards: usize| {
+        RunPlan::new(Algorithm::feedback(), 1)
+            .with_master_seed(0xFEED)
+            .with_jobs(1)
+            .with_config(
+                SimConfig::default()
+                    .with_kernel(PropagationKernel::Bitset)
+                    .with_rng_mode(RngMode::Counter)
+                    .with_shards(shards),
+            )
+    };
+    eprintln!(
+        "simbench[simulator]: sharded feedback workload (counter rng, {} nodes, \
+         1 vs {FB_SHARDS} shards) …",
+        shard_graph.node_count()
+    );
+    let mut fb_seq_ms = f64::INFINITY;
+    let mut fb_par_ms = f64::INFINITY;
+    let mut fb_seq = time_plan_min(&fb_shard_plan(1), &shard_graph, &mut fb_seq_ms);
+    let mut fb_par = time_plan_min(&fb_shard_plan(FB_SHARDS), &shard_graph, &mut fb_par_ms);
+    for _ in 1..shard_reps {
+        fb_seq = time_plan_min(&fb_shard_plan(1), &shard_graph, &mut fb_seq_ms);
+        fb_par = time_plan_min(&fb_shard_plan(FB_SHARDS), &shard_graph, &mut fb_par_ms);
+    }
+    eprintln!("  sequential: {fb_seq_ms:.1} ms; {FB_SHARDS} shards: {fb_par_ms:.1} ms");
+    if fb_seq != fb_par {
+        return Err("FATAL — intra-run sharding changed the feedback results".to_owned());
+    }
+
     let bitset_speedup = kernel_scalar_ms / kernel_bitset_ms.max(1e-9);
     let fb_speedup = fb_scalar_ms / fb_bitset_ms.max(1e-9);
     let thread_speedup = fb_bitset_ms / fb_jobs_ms.max(1e-9);
     let shard_speedup = shard_seq_ms / shard_par_ms.max(1e-9);
+    let fb_shard_speedup = fb_seq_ms / fb_par_ms.max(1e-9);
     eprintln!(
         "simbench[simulator]: bitset/scalar {bitset_speedup:.2}x on propagation, \
          {fb_speedup:.2}x end-to-end; {jobs}-thread/1-thread {thread_speedup:.2}x; \
-         {SHARDS}-shard/sequential {shard_speedup:.2}x on {} cores",
+         {SHARDS}-shard/sequential {shard_speedup:.2}x, feedback \
+         {FB_SHARDS}-shard/sequential {fb_shard_speedup:.2}x on {} cores",
         mis_core::auto_jobs()
     );
 
@@ -323,7 +360,11 @@ fn run_simulator_suite(opts: &Options) -> Result<(), String> {
          \"nodes\": {snodes},\n    \"edges\": {sedges},\n    \"rounds\": {srounds},\n    \
          \"shards\": {shards},\n    \"cores\": {cores},\n    \
          \"sequential_ms\": {sseq:.3},\n    \"sharded_ms\": {spar:.3},\n    \
-         \"speedup\": {sspeed:.3},\n    \"outcomes_identical\": true\n  }},\n  \
+         \"speedup\": {sspeed:.3},\n    \"outcomes_identical\": true,\n    \
+         \"feedback\": {{\n      \"algorithm\": \"feedback\",\n      \"rng\": \"counter\",\n      \
+         \"rounds\": {fbrounds},\n      \"shards\": {fbshards},\n      \"cores\": {cores},\n      \
+         \"sequential_ms\": {fbseq:.3},\n      \"sharded_ms\": {fbpar:.3},\n      \
+         \"speedup\": {fbsspeed:.3},\n      \"outcomes_identical\": true\n    }}\n  }},\n  \
          \"bitset_speedup\": {kspeed:.3},\n  \
          \"outcomes_identical\": true\n}}\n",
         mode = if opts.quick { "quick" } else { "full" },
@@ -350,6 +391,11 @@ fn run_simulator_suite(opts: &Options) -> Result<(), String> {
         sseq = shard_seq_ms,
         spar = shard_par_ms,
         sspeed = shard_speedup,
+        fbrounds = fb_seq.rounds().mean(),
+        fbshards = FB_SHARDS,
+        fbseq = fb_seq_ms,
+        fbpar = fb_par_ms,
+        fbsspeed = fb_shard_speedup,
     );
     write_json(out, &json)
 }

@@ -11,8 +11,11 @@ use std::sync::Arc;
 
 /// A preset sequence of beeping probabilities indexed by time step.
 ///
-/// Implementations must return values in `[0, 1]` for every step.
-pub trait ProbabilitySchedule {
+/// Implementations must return values in `[0, 1]` for every step. They
+/// are `Send + Sync` so that processes holding a shared schedule (an
+/// `Arc<dyn ProbabilitySchedule>`) stay `Send`, as every
+/// [`BeepingProcess`](mis_beeping::BeepingProcess) must be.
+pub trait ProbabilitySchedule: Send + Sync {
     /// The probability with which every node beeps at `step` (0-based).
     fn probability(&self, step: u32) -> f64;
 

@@ -54,6 +54,14 @@ struct Options {
     corpus: Option<String>,
 }
 
+/// Experiments that build their simulations from `sim_config()`, and so
+/// honour `--shards`.
+const SHARDS_EXPERIMENTS: [&str; 3] = ["robustness", "faults", "decay"];
+
+/// Experiments that serve their graphs through `run_on_backend`, and so
+/// honour `--backend`.
+const BACKEND_EXPERIMENTS: [&str; 1] = ["decay"];
+
 fn usage() -> &'static str {
     "usage: xp <fig3|fig5|grid|lower-bound|tails|robustness|faults|race|quality|decay|apps|sop|potential|fuzz|all> \
      [--quick] [--seed N] [--trials N] [--jobs N] [--shards N] [--science] \
@@ -131,6 +139,23 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     return Err(format!("unknown flag {other:?}\n{}", usage()));
                 }
             }
+        }
+    }
+    // A flag the experiment would silently ignore is an error instead.
+    for (flag, given, honoured_by) in [
+        ("--shards", opts.shards.is_some(), &SHARDS_EXPERIMENTS[..]),
+        (
+            "--backend",
+            opts.backend.is_some(),
+            &BACKEND_EXPERIMENTS[..],
+        ),
+    ] {
+        if given && !honoured_by.contains(&opts.experiment.as_str()) {
+            return Err(format!(
+                "{flag} is honoured only by {}; `{}` would ignore it",
+                honoured_by.join(", "),
+                opts.experiment
+            ));
         }
     }
     Ok(opts)
@@ -641,6 +666,64 @@ mod tests {
         let err = parse(&["decay", "--backend", "ram"]).unwrap_err();
         assert!(err.contains("ram"));
         assert!(err.contains("csr|compressed|disk"));
+    }
+
+    /// Every experiment `xp` dispatches, with the module that runs it.
+    const EXPERIMENT_SOURCES: [(&str, &str); 14] = [
+        ("fig3", include_str!("fig3.rs")),
+        ("fig5", include_str!("fig5.rs")),
+        ("grid", include_str!("grid_beeps.rs")),
+        ("lower-bound", include_str!("lower_bound.rs")),
+        ("tails", include_str!("tails.rs")),
+        ("robustness", include_str!("robustness.rs")),
+        ("faults", include_str!("faults.rs")),
+        ("race", include_str!("race.rs")),
+        ("quality", include_str!("quality.rs")),
+        ("decay", include_str!("decay.rs")),
+        ("apps", include_str!("applications.rs")),
+        ("sop", include_str!("sop.rs")),
+        ("potential", include_str!("potential.rs")),
+        ("fuzz", include_str!("fuzz.rs")),
+    ];
+
+    #[test]
+    fn shards_and_backend_are_honoured_or_rejected() {
+        let experiments = EXPERIMENT_SOURCES
+            .iter()
+            .map(|&(name, source)| (name, Some(source)))
+            .chain([("all", None), ("replay", None)]);
+        for (name, source) in experiments {
+            for (flag, value, hook, honoured_by) in [
+                ("--shards", "2", "sim_config()", &SHARDS_EXPERIMENTS[..]),
+                (
+                    "--backend",
+                    "disk",
+                    "run_on_backend(",
+                    &BACKEND_EXPERIMENTS[..],
+                ),
+            ] {
+                let accepted = honoured_by.contains(&name);
+                // An experiment honours the flag exactly when its module
+                // reads the override the flag installs.
+                if let Some(source) = source {
+                    assert_eq!(
+                        source.contains(hook),
+                        accepted,
+                        "{name}: {flag} acceptance disagrees with its module"
+                    );
+                }
+                match parse(&[name, flag, value]) {
+                    Ok(_) => assert!(accepted, "{name} accepted {flag} it ignores"),
+                    Err(e) => {
+                        assert!(!accepted, "{name} rejected {flag}: {e}");
+                        assert!(e.contains(flag) && e.contains(name), "{e}");
+                        for honouring in honoured_by {
+                            assert!(e.contains(honouring), "{e}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! message-passing — parallelises under `xp --jobs N` with bit-identical
 //! results for any job count.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use mis_beeping::{RngMode, SimConfig};
@@ -180,15 +181,30 @@ pub fn run_with_backend<Op: BackendOp>(g: &Graph, backend: Backend, op: Op) -> O
                 std::process::id(),
                 DISK_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
             ));
-            stream::write_sharded_from_view(&dir, g, stream::DEFAULT_NODES_PER_SHARD)
-                .expect("write disk-backend shard directory");
-            let disk = DiskGraph::open(&dir).expect("reopen disk-backend shard directory");
-            let out = op.run(&disk);
-            drop(disk);
-            let _ = std::fs::remove_dir_all(&dir);
-            out
+            run_on_disk(g, dir, op)
         }
     }
+}
+
+/// Removes its directory when dropped, so a panic anywhere between
+/// creating the directory and finishing with it cannot leak it (the
+/// `mis-serve` daemon survives worker panics and would keep the leak).
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs `op` on a [`DiskGraph`] of `g` written to the shard directory
+/// `dir`, which is removed afterwards, whether `op` returns or panics.
+fn run_on_disk<Op: BackendOp>(g: &Graph, dir: PathBuf, op: Op) -> Op::Out {
+    let dir = TempDir(dir);
+    stream::write_sharded_from_view(&dir.0, g, stream::DEFAULT_NODES_PER_SHARD)
+        .expect("write disk-backend shard directory");
+    let disk = DiskGraph::open(&dir.0).expect("reopen disk-backend shard directory");
+    op.run(&disk)
 }
 
 /// The base [`SimConfig`] experiments should build on: the plain default
@@ -415,6 +431,28 @@ mod tests {
             assert_eq!(run_with_backend(&g, b, DegreeSum), 64, "{}", b.name());
         }
         assert_eq!(default_backend(), Backend::Disk);
+    }
+
+    #[test]
+    fn disk_backend_directory_is_removed_when_the_op_panics() {
+        /// Checks its shard directory exists, then panics.
+        struct Panics(PathBuf);
+        impl BackendOp for Panics {
+            type Out = ();
+            fn run<G: GraphView + ?Sized>(self, _: &G) {
+                assert!(self.0.is_dir(), "shard directory was never written");
+                panic!("op failed");
+            }
+        }
+
+        let dir =
+            std::env::temp_dir().join(format!("xp-disk-backend-panic-test-{}", std::process::id()));
+        let g = mis_graph::generators::cycle(16);
+        let op = Panics(dir.clone());
+        let caught = std::panic::catch_unwind(|| run_on_disk(&g, dir.clone(), op));
+        let message = caught.expect_err("the op panics");
+        assert_eq!(message.downcast_ref::<&str>(), Some(&"op failed"));
+        assert!(!dir.exists(), "{} leaked", dir.display());
     }
 
     #[test]

@@ -15,10 +15,11 @@ use std::sync::Arc;
 use beeping_mis::baselines::{LubyPriorityFactory, MessageEngine, MessageSimulator};
 use beeping_mis::beeping::scenario::LossModel;
 use beeping_mis::beeping::{
-    FaultPlan, PropagationKernel, RngMode, RunOutcome, Scenario, ScenarioSpec, SimConfig, Simulator,
+    FaultPlan, NetworkInfo, ProcessFactory, PropagationKernel, RngMode, RunOutcome, Scenario,
+    ScenarioSpec, SimConfig, Simulator, TraceLevel,
 };
-use beeping_mis::core::{FeedbackFactory, RunPlan};
-use beeping_mis::graph::{generators, GraphView, LineGraphView};
+use beeping_mis::core::{FeedbackFactory, GlobalScheduleFactory, RunPlan, SweepSchedule};
+use beeping_mis::graph::{generators, Graph, GraphView, LineGraphView};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -226,4 +227,122 @@ fn lossy_stream_runs_still_record_the_scalar_fallback() {
     assert_eq!(lossy.rng, RngMode::Stream);
     let outcome = feedback_run(&g, 4, lossy);
     assert_eq!(outcome.kernel_used(), PropagationKernel::Scalar);
+}
+
+/// Steps a 1-shard stepper in lockstep with one stepper per entry of
+/// `shard_counts`, asserting after every round that each sharded round
+/// view (beeped, heard, status, probabilities) equals the reference's, and
+/// at the end that the outcomes (trace, active series and heartbeat count
+/// included) are equal.
+fn assert_lockstep<F: ProcessFactory>(
+    g: &Graph,
+    factory: &F,
+    base: &SimConfig,
+    shard_counts: &[usize],
+    label: &str,
+) {
+    let stepper = |shards: usize| Simulator::new(g, factory, 17, base.clone().with_shards(shards));
+    let mut reference = stepper(1).into_stepper();
+    // The per-node phases split only while at least 4096 nodes are active
+    // (the engine's threshold), so the first round must reach it.
+    assert!(reference.active_count() >= 4096, "{label}: too few active");
+    let mut sharded: Vec<_> = shard_counts
+        .iter()
+        .map(|&s| stepper(s).into_stepper())
+        .collect();
+    while !reference.is_done() {
+        reference.step();
+        let want = reference.last_round_view();
+        for (shards, st) in shard_counts.iter().zip(&mut sharded) {
+            assert!(!st.is_done(), "{label}: {shards} shard(s) stopped early");
+            st.step();
+            let got = st.last_round_view();
+            let at = format!("{label}: {shards} shard(s), round {}", want.round);
+            assert_eq!(got.round, want.round, "{at}");
+            assert!(got.beeped == want.beeped, "{at}: beeped differs");
+            assert!(got.heard == want.heard, "{at}: heard differs");
+            assert!(got.status == want.status, "{at}: status differs");
+            assert!(
+                got.probabilities == want.probabilities,
+                "{at}: probabilities differ"
+            );
+        }
+    }
+    let want = reference.finish();
+    for (shards, st) in shard_counts.iter().zip(sharded) {
+        assert!(st.is_done(), "{label}: {shards} shard(s) ran on");
+        let got = st.finish();
+        assert!(got == want, "{label}: outcome changed at {shards} shard(s)");
+        if *shards > 1 {
+            assert!(
+                got.shards_used() > 1,
+                "{label}: {shards} shard(s) ran on one"
+            );
+        }
+    }
+}
+
+/// Lockstep checks on a graph large enough that the sharded per-node
+/// phases actually run: feedback and sweep, each plain and with 30% of
+/// the nodes waking late plus heartbeats, at message loss `loss`, stepped
+/// at 1 vs 2, 3, 7 and auto shards.
+fn assert_lockstep_matrix(loss: f64) {
+    let n = 20_000;
+    let g = generators::gnp(n, 12.0 / (n - 1) as f64, &mut SmallRng::seed_from_u64(3));
+    let feedback = FeedbackFactory::new();
+    let sweep = GlobalScheduleFactory::new(|_: &NetworkInfo| SweepSchedule::new());
+    for staggered in [false, true] {
+        // The late wakers wake over rounds 1..=13.
+        let wake_rounds = if staggered {
+            (0..n as u32)
+                .map(|v| if v % 10 < 3 { 1 + (v % 7) * 2 } else { 0 })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let base = SimConfig::default()
+            .with_max_rounds(400)
+            .with_rng_mode(RngMode::Counter)
+            .with_kernel(PropagationKernel::Bitset)
+            .with_trace(TraceLevel::Rounds)
+            .with_active_series(true)
+            .with_mis_keeps_beeping(staggered)
+            .with_faults(FaultPlan {
+                message_loss: loss,
+                wake_rounds,
+            });
+        let label = format!("loss {loss}, staggered {staggered}");
+        let shards = [2, 3, 7, 0];
+        assert_lockstep(&g, &feedback, &base, &shards, &format!("feedback, {label}"));
+        assert_lockstep(&g, &sweep, &base, &shards, &format!("sweep, {label}"));
+    }
+}
+
+#[test]
+fn sharded_phases_match_sequential_round_for_round_reliable() {
+    assert_lockstep_matrix(0.0);
+}
+
+#[test]
+fn sharded_phases_match_sequential_round_for_round_lossy() {
+    assert_lockstep_matrix(0.2);
+}
+
+/// 4 200 nodes are 66 words: 48 shards round to 33 ranges of 2 words, so
+/// 15 of the requested shards get no range at all.
+#[test]
+fn sharded_phases_tolerate_more_shards_than_ranges() {
+    let g = generators::gnp(4_200, 12.0 / 4_199.0, &mut SmallRng::seed_from_u64(4));
+    let base = SimConfig::default()
+        .with_rng_mode(RngMode::Counter)
+        .with_kernel(PropagationKernel::Bitset)
+        .with_trace(TraceLevel::Rounds)
+        .with_active_series(true);
+    assert_lockstep(
+        &g,
+        &FeedbackFactory::new(),
+        &base,
+        &[48],
+        "feedback, 48 shards",
+    );
 }
