@@ -16,6 +16,8 @@ use mis_core::theory::lower_bound::{clique_survival_lower_bound, potential, step
 use mis_core::{ConstantSchedule, SweepSchedule};
 use mis_stats::Table;
 
+use crate::ExecCtx;
+
 /// Configuration for the potential-coverage experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PotentialConfig {
@@ -76,32 +78,32 @@ pub struct PotentialResults {
     pub serving: Vec<(usize, f64, f64)>,
 }
 
-/// Runs the experiment (pure computation; deterministic).
+/// Runs the experiment (pure computation; deterministic for any
+/// [`ExecCtx::jobs`]).
 ///
 /// # Panics
 ///
 /// Panics if `log_sizes` is empty.
 #[must_use]
-pub fn run(config: &PotentialConfig) -> PotentialResults {
+pub fn run(config: &PotentialConfig, ctx: &ExecCtx) -> PotentialResults {
     assert!(!config.log_sizes.is_empty(), "need at least one size");
     let sweep = SweepSchedule::new();
     let half = ConstantSchedule::new(0.5);
     let sixteenth = ConstantSchedule::new(1.0 / 16.0);
-    let rows: Vec<CoverRow> = config
-        .log_sizes
-        .iter()
-        .map(|&log_n| {
-            let max_d = 2f64.powf(f64::from(log_n) / 3.0).round().max(3.0) as usize;
-            let target = f64::from(log_n) / 4.0;
-            CoverRow {
-                log_n,
-                max_d,
-                sweep: steps_to_cover(&sweep, max_d, target, config.cap),
-                constant_half: steps_to_cover(&half, max_d, target, config.cap),
-                constant_sixteenth: steps_to_cover(&sixteenth, max_d, target, config.cap),
-            }
-        })
-        .collect();
+    // One cover-time search per size, fanned across the context's workers
+    // (the derived seed goes unused: the computation has no randomness).
+    let rows = ctx.run_trials(config.log_sizes.len(), 0, |_, i| {
+        let log_n = config.log_sizes[i];
+        let max_d = 2f64.powf(f64::from(log_n) / 3.0).round().max(3.0) as usize;
+        let target = f64::from(log_n) / 4.0;
+        CoverRow {
+            log_n,
+            max_d,
+            sweep: steps_to_cover(&sweep, max_d, target, config.cap),
+            constant_half: steps_to_cover(&half, max_d, target, config.cap),
+            constant_sixteenth: steps_to_cover(&sixteenth, max_d, target, config.cap),
+        }
+    });
 
     // Serving pattern at the largest size's sweep cover time (or cap).
     let last = rows.last().expect("at least one row");
@@ -193,7 +195,7 @@ mod tests {
 
     #[test]
     fn sweep_cover_times_grow_superlinearly() {
-        let results = run(&PotentialConfig::quick());
+        let results = run(&PotentialConfig::quick(), &ExecCtx::default());
         let first = results.rows.first().unwrap();
         let last = results.rows.last().unwrap();
         let (a, b) = (first.sweep.unwrap(), last.sweep.unwrap());
@@ -206,7 +208,7 @@ mod tests {
 
     #[test]
     fn constant_schedules_never_cover() {
-        let results = run(&PotentialConfig::quick());
+        let results = run(&PotentialConfig::quick(), &ExecCtx::default());
         for row in &results.rows {
             if row.max_d >= 32 {
                 assert_eq!(
@@ -220,7 +222,7 @@ mod tests {
 
     #[test]
     fn serving_pattern_reaches_target_everywhere() {
-        let results = run(&PotentialConfig::quick());
+        let results = run(&PotentialConfig::quick(), &ExecCtx::default());
         let target = f64::from(results.rows.last().unwrap().log_n) / 4.0;
         for &(d, phi, surv) in &results.serving {
             assert!(phi >= target, "d = {d} under-served: Φ = {phi}");
@@ -230,7 +232,7 @@ mod tests {
 
     #[test]
     fn render_mentions_log_squared() {
-        let results = run(&PotentialConfig::quick());
+        let results = run(&PotentialConfig::quick(), &ExecCtx::default());
         assert!(results.render().contains("log² n"));
     }
 }

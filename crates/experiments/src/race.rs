@@ -9,8 +9,8 @@
 //!
 //! Every contender — beeping or message-passing — executes through the
 //! unified [`Engine`] layer, and the trials fan out over the same
-//! work-stealing batch path as every other experiment ([`run_trials`]),
-//! so `xp race --jobs N` parallelises the whole figure with bit-identical
+//! work-stealing batch path as every other experiment
+//! ([`ExecCtx::run_trials`]), so `xp race --jobs N` parallelises the whole figure with bit-identical
 //! tables for any job count.
 //!
 //! With `xp race --on {line,product,induced}` the whole field races on a
@@ -30,8 +30,8 @@ use mis_graph::{generators, Graph, GraphView, InducedView, LineGraphView, NodeId
 use mis_stats::{OnlineStats, Table};
 use rand::{rngs::SmallRng, SeedableRng};
 
-use crate::run_trials;
 use crate::seeds::{alg, alg_seed, experiment, stage_seed};
+use crate::ExecCtx;
 
 /// The graph surface every contender races on: the base workload graph or
 /// a lazy derived-graph view of it (`xp race --on …`).
@@ -323,13 +323,13 @@ fn trial_on<G: GraphView + ?Sized>(g: &G, trial_seed: u64) -> (f64, Vec<(f64, f6
 ///
 /// Panics if any contender fails on any workload (a correctness bug).
 #[must_use]
-pub fn run(config: &RaceConfig) -> RaceResults {
+pub fn run(config: &RaceConfig, ctx: &ExecCtx) -> RaceResults {
     assert!(config.trials > 0, "need at least one trial");
     let mut results = Vec::new();
     for (wi, (name, make_graph)) in workloads(config.scale).into_iter().enumerate() {
         let master = stage_seed(config.seed, experiment::RACE, wi as u64);
         let surface = config.surface;
-        let per_trial = run_trials(config.trials, master, |trial_seed, _| {
+        let per_trial = ctx.run_trials(config.trials, master, |trial_seed, _| {
             let g = make_graph(trial_seed);
             // The view is rebuilt from the base CSR inside the trial (the
             // same purity contract as `Engine::run`), so trials stay
@@ -429,12 +429,15 @@ mod tests {
     use super::*;
 
     fn tiny() -> RaceResults {
-        run(&RaceConfig {
-            trials: 4,
-            seed: 77,
-            scale: 3,
-            surface: RaceSurface::Base,
-        })
+        run(
+            &RaceConfig {
+                trials: 4,
+                seed: 77,
+                scale: 3,
+                surface: RaceSurface::Base,
+            },
+            &ExecCtx::default(),
+        )
     }
 
     #[test]
@@ -490,12 +493,15 @@ mod tests {
             RaceSurface::Product,
             RaceSurface::Induced,
         ] {
-            let results = run(&RaceConfig {
-                trials: 2,
-                seed: 5,
-                scale: 3,
-                surface,
-            });
+            let results = run(
+                &RaceConfig {
+                    trials: 2,
+                    seed: 5,
+                    scale: 3,
+                    surface,
+                },
+                &ExecCtx::default(),
+            );
             assert_eq!(results.workloads.len(), 5, "{}", surface.name());
             for w in &results.workloads {
                 assert!(w.name.ends_with(surface.label().trim_start()), "{}", w.name);

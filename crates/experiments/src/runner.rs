@@ -1,81 +1,135 @@
 //! Deterministic multi-trial execution.
 //!
-//! [`run_trials`] is the experiment-level entry to the workspace's one
-//! batched execution path: it derives per-trial seeds through the same
-//! [`BatchPlan`] the engine-level [`RunPlan`](mis_core::RunPlan) uses and
-//! fans the trials across the same work-stealing
-//! [`parallel_indexed_map`] scheduler, so every figure — beeping or
-//! message-passing — parallelises under `xp --jobs N` with bit-identical
-//! results for any job count.
+//! [`ExecCtx`] is the one execution context every experiment takes: the
+//! trial worker count, the intra-run shard count and the adjacency
+//! backend. [`ExecCtx::run_trials`] is the experiment-level entry to the
+//! workspace's one batched execution path: it derives per-trial seeds
+//! through the same [`BatchPlan`] the engine-level
+//! [`RunPlan`](mis_core::RunPlan) uses and fans the trials across the same
+//! work-stealing [`parallel_indexed_map`] scheduler, so every figure —
+//! beeping or message-passing — parallelises under `xp --jobs N` with
+//! bit-identical results for any job count.
 
+use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mis_beeping::{RngMode, SimConfig};
 use mis_core::{auto_jobs, parallel_indexed_map, BatchPlan};
 use mis_graph::{stream, CompressedGraph, DiskGraph, Graph, GraphView};
 use mis_stats::OnlineStats;
 
-/// Worker-count override installed by [`set_default_jobs`] (`0` = one
-/// worker per available core).
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Intra-run shard override installed by [`set_default_shards`]
-/// (`usize::MAX` = unset: stream-mode sequential, the historical
-/// default).
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Sets the worker count every subsequent [`run_trials`] call uses
-/// (`xp --jobs N` calls this once at startup). Pass `0` to restore the
-/// default of one worker per available core.
-///
-/// Results never depend on this value — it only tunes the wall clock.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The worker count [`run_trials`] resolves to right now: the
-/// [`set_default_jobs`] override if one is installed, otherwise one worker
-/// per available core.
-#[must_use]
-pub fn default_jobs() -> usize {
-    let jobs = DEFAULT_JOBS.load(Ordering::Relaxed);
-    if jobs > 0 {
-        jobs
-    } else {
-        auto_jobs()
-    }
-}
-
-/// Sets the intra-run shard count every subsequent [`sim_config`] call
-/// bakes into its [`SimConfig`] (`xp --shards N` calls this once at
-/// startup; `Some(0)` = auto-detect, `None` restores the unset default).
-///
-/// Unlike [`set_default_jobs`], this *does* select a different — equally
-/// valid — random sequence: sharded runs use the counter-based
-/// [`RngMode::Counter`] derivation, so `--shards 1` and `--shards 4`
-/// agree with each other but not with an unsharded stream-mode run.
-pub fn set_default_shards(shards: Option<usize>) {
-    DEFAULT_SHARDS.store(shards.unwrap_or(usize::MAX), Ordering::Relaxed);
-}
-
-/// The intra-run shard override currently installed by
-/// [`set_default_shards`], if any.
-#[must_use]
-pub fn default_shards() -> Option<usize> {
-    match DEFAULT_SHARDS.load(Ordering::Relaxed) {
-        usize::MAX => None,
-        s => Some(s),
-    }
-}
-
-/// Adjacency backend override installed by [`set_default_backend`]
-/// (indexes into [`Backend`]'s variants; CSR is the historical default).
-static DEFAULT_BACKEND: AtomicUsize = AtomicUsize::new(0);
-
 /// Counter making the per-process shard directories of the disk backend
 /// unique.
 static DISK_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// How an experiment executes: a plain value passed to every `run`, so
+/// two harnesses in one process (the `mis-serve` daemon, a test binary)
+/// can never couple through shared state.
+///
+/// Only [`shards`](Self::shards) selects a different — equally valid —
+/// random sequence; `jobs` and `backend` change the wall clock and the
+/// memory footprint, never the results.
+///
+/// # Examples
+///
+/// ```
+/// use mis_experiments::ExecCtx;
+///
+/// let ctx = ExecCtx { jobs: 2, ..ExecCtx::default() };
+/// let trials = ctx.run_trials(4, 9, |seed, idx| (idx, seed));
+/// assert_eq!(trials.len(), 4);
+/// assert_eq!(trials[2].0, 2);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExecCtx {
+    /// Trial worker threads (`0` = one per available core).
+    pub jobs: usize,
+    /// Intra-run shard count of beeping simulations: `None` runs the
+    /// stream-mode sequential default; `Some(s)` selects counter-mode
+    /// draws split into `s` shards (`Some(0)` = one per core), so every
+    /// shard count agrees with every other.
+    pub shards: Option<usize>,
+    /// The adjacency backend [`on_backend`](Self::on_backend) serves.
+    pub backend: Backend,
+}
+
+impl ExecCtx {
+    /// The base [`SimConfig`] experiments build on: the plain default
+    /// when no shard count is set, otherwise counter mode with the
+    /// requested shard count.
+    #[must_use]
+    pub fn sim_config(&self) -> SimConfig {
+        match self.shards {
+            None => SimConfig::default(),
+            Some(s) => SimConfig::default()
+                .with_rng_mode(RngMode::Counter)
+                .with_shards(s),
+        }
+    }
+
+    /// Runs `trials` independent trials of `f`, each with its own derived
+    /// seed, spread across [`jobs`](Self::jobs) workers. Results come back
+    /// in trial order, so downstream statistics are independent of the
+    /// thread count.
+    pub fn run_trials<T, F>(&self, trials: usize, master_seed: u64, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(u64, usize) -> T + Sync,
+    {
+        // The same seed derivation and scheduler as the engine-level batch
+        // path, so trial runs and `RunPlan` runs can never diverge.
+        let plan = BatchPlan::new(master_seed, trials).with_jobs(self.jobs);
+        parallel_indexed_map(plan.runs, plan.effective_jobs(), |i| f(plan.run_seed(i), i))
+    }
+
+    /// Runs `op` against `g` served through [`backend`](Self::backend):
+    /// the CSR graph itself, a [`CompressedGraph`] re-encoding, or a
+    /// [`DiskGraph`] paging a temporary shard directory (written, used,
+    /// and removed per call).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the disk backend cannot write or reopen its temporary
+    /// shard directory.
+    pub fn on_backend<Op: BackendOp>(&self, g: &Graph, op: Op) -> Op::Out {
+        match self.backend {
+            Backend::Csr => op.run(g),
+            Backend::Compressed => op.run(&CompressedGraph::from_view(g)),
+            Backend::Disk => {
+                let dir = std::env::temp_dir().join(format!(
+                    "xp-disk-backend-{}-{}",
+                    std::process::id(),
+                    DISK_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
+                ));
+                run_on_disk(g, dir, op)
+            }
+        }
+    }
+}
+
+/// One line naming the effective context: resolved worker count, RNG
+/// mode, shard count and backend.
+impl fmt::Display for ExecCtx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sim = self.sim_config();
+        let jobs = if self.jobs > 0 {
+            self.jobs
+        } else {
+            auto_jobs()
+        };
+        let shards = match sim.shards {
+            0 => "auto".to_owned(),
+            s => s.to_string(),
+        };
+        write!(
+            f,
+            "exec: jobs {jobs}, rng {}, shards {shards}, backend {}",
+            sim.rng.name(),
+            self.backend.name()
+        )
+    }
+}
 
 /// The adjacency backend a simulation reads its topology from.
 ///
@@ -119,25 +173,6 @@ impl Backend {
     }
 }
 
-/// Sets the adjacency backend every subsequent [`run_on_backend`] call
-/// uses (`xp --backend X` calls this once at startup).
-///
-/// Like [`set_default_jobs`] — and unlike [`set_default_shards`] — this
-/// never changes results, only the space/time point they are computed at.
-pub fn set_default_backend(backend: Backend) {
-    DEFAULT_BACKEND.store(backend as usize, Ordering::Relaxed);
-}
-
-/// The backend currently installed by [`set_default_backend`].
-#[must_use]
-pub fn default_backend() -> Backend {
-    match DEFAULT_BACKEND.load(Ordering::Relaxed) {
-        1 => Backend::Compressed,
-        2 => Backend::Disk,
-        _ => Backend::Csr,
-    }
-}
-
 /// A simulation (or any graph computation) abstracted over the adjacency
 /// backend. [`GraphView`] has generic methods, so it is not object-safe
 /// and a `&dyn` can't cross this seam — implementors get the concrete
@@ -147,43 +182,6 @@ pub trait BackendOp {
     type Out;
     /// Runs the computation against one concrete adjacency backend.
     fn run<G: GraphView + ?Sized>(self, g: &G) -> Self::Out;
-}
-
-/// Runs `op` against `g` served through the [`default_backend`]: the CSR
-/// graph itself, a [`CompressedGraph`] re-encoding, or a [`DiskGraph`]
-/// paging a temporary shard directory (written, used, and removed per
-/// call).
-///
-/// # Panics
-///
-/// Panics if the disk backend cannot write or reopen its temporary shard
-/// directory.
-pub fn run_on_backend<Op: BackendOp>(g: &Graph, op: Op) -> Op::Out {
-    run_with_backend(g, default_backend(), op)
-}
-
-/// [`run_on_backend`] with an explicit backend, bypassing the process-wide
-/// [`set_default_backend`] override. Embedders that serve several
-/// independent requests in one process (the `mis-serve` daemon) use this so
-/// a per-request backend choice cannot couple through the global default.
-///
-/// # Panics
-///
-/// Panics if the disk backend cannot write or reopen its temporary shard
-/// directory.
-pub fn run_with_backend<Op: BackendOp>(g: &Graph, backend: Backend, op: Op) -> Op::Out {
-    match backend {
-        Backend::Csr => op.run(g),
-        Backend::Compressed => op.run(&CompressedGraph::from_view(g)),
-        Backend::Disk => {
-            let dir = std::env::temp_dir().join(format!(
-                "xp-disk-backend-{}-{}",
-                std::process::id(),
-                DISK_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-            ));
-            run_on_disk(g, dir, op)
-        }
-    }
 }
 
 /// Removes its directory when dropped, so a panic anywhere between
@@ -205,56 +203,6 @@ fn run_on_disk<Op: BackendOp>(g: &Graph, dir: PathBuf, op: Op) -> Op::Out {
         .expect("write disk-backend shard directory");
     let disk = DiskGraph::open(&dir.0).expect("reopen disk-backend shard directory");
     op.run(&disk)
-}
-
-/// The base [`SimConfig`] experiments should build on: the plain default
-/// when no shard override is installed, otherwise counter-mode with the
-/// requested shard count. Experiments that construct a `SimConfig` start
-/// from this so `xp --shards N` reaches every beeping simulation.
-#[must_use]
-pub fn sim_config() -> SimConfig {
-    match default_shards() {
-        None => SimConfig::default(),
-        Some(s) => SimConfig::default()
-            .with_rng_mode(RngMode::Counter)
-            .with_shards(s),
-    }
-}
-
-/// Runs `trials` independent trials of `f`, each with its own derived
-/// seed, spreading work across [`default_jobs`] workers. Results come back
-/// in trial order, so downstream statistics are independent of the thread
-/// count.
-///
-/// # Examples
-///
-/// ```
-/// let doubled = mis_experiments::run_trials(4, 9, |seed, idx| (idx, seed));
-/// assert_eq!(doubled.len(), 4);
-/// assert_eq!(doubled[2].0, 2);
-/// ```
-pub fn run_trials<T, F>(trials: usize, master_seed: u64, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64, usize) -> T + Sync,
-{
-    run_trials_with_jobs(trials, master_seed, default_jobs(), f)
-}
-
-/// [`run_trials`] with an explicit worker count (`0` = one per available
-/// core), bypassing the process-wide [`set_default_jobs`] override.
-///
-/// Use this from embedders that run several harnesses in one process and
-/// must not couple through the global default.
-pub fn run_trials_with_jobs<T, F>(trials: usize, master_seed: u64, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64, usize) -> T + Sync,
-{
-    // The same seed derivation and scheduler as the engine-level batch
-    // path, so trial runs and `RunPlan` runs can never diverge.
-    let plan = BatchPlan::new(master_seed, trials).with_jobs(jobs);
-    parallel_indexed_map(plan.runs, plan.effective_jobs(), |i| f(plan.run_seed(i), i))
 }
 
 /// One point of a measured series: an x-value (usually `n`) with the
@@ -296,8 +244,9 @@ mod tests {
 
     #[test]
     fn trials_are_ordered_and_deterministic() {
-        let a = run_trials(16, 5, |seed, idx| (idx, seed));
-        let b = run_trials(16, 5, |seed, idx| (idx, seed));
+        let ctx = ExecCtx::default();
+        let a = ctx.run_trials(16, 5, |seed, idx| (idx, seed));
+        let b = ctx.run_trials(16, 5, |seed, idx| (idx, seed));
         assert_eq!(a, b);
         for (i, (idx, _)) in a.iter().enumerate() {
             assert_eq!(*idx, i);
@@ -311,7 +260,7 @@ mod tests {
 
     #[test]
     fn zero_trials() {
-        let v: Vec<u64> = run_trials(0, 1, |seed, _| seed);
+        let v: Vec<u64> = ExecCtx::default().run_trials(0, 1, |seed, _| seed);
         assert!(v.is_empty());
     }
 
@@ -319,51 +268,56 @@ mod tests {
     fn results_are_identical_for_any_job_count() {
         // Worker count must never leak into the results, only the wall
         // clock.
-        let reference = run_trials(17, 9, |seed, idx| (idx, seed));
+        let reference = ExecCtx::default().run_trials(17, 9, |seed, idx| (idx, seed));
         for jobs in [1, 2, 5] {
-            let got = run_trials_with_jobs(17, 9, jobs, |seed, idx| (idx, seed));
+            let ctx = ExecCtx {
+                jobs,
+                ..ExecCtx::default()
+            };
+            let got = ctx.run_trials(17, 9, |seed, idx| (idx, seed));
             assert_eq!(got, reference, "jobs = {jobs}");
         }
     }
 
     #[test]
-    fn default_jobs_override_round_trips() {
-        // Restore the process-wide default even if an assertion fails, so
-        // a failure here cannot leak a stale override into other tests.
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_jobs(0);
-            }
-        }
-        let _restore = Restore;
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
+    fn display_names_the_resolved_context() {
+        let ctx = ExecCtx {
+            jobs: 3,
+            shards: Some(2),
+            backend: Backend::Disk,
+        };
+        assert_eq!(
+            ctx.to_string(),
+            "exec: jobs 3, rng counter, shards 2, backend disk"
+        );
+        let line = ExecCtx::default().to_string();
+        assert!(
+            line.ends_with("rng stream, shards 1, backend csr"),
+            "{line}"
+        );
+        // `0` = one worker per core, printed resolved.
+        assert!(!line.starts_with("exec: jobs 0,"), "{line}");
+        let auto = ExecCtx {
+            shards: Some(0),
+            ..ExecCtx::default()
+        };
+        assert!(auto.to_string().contains("rng counter, shards auto"));
     }
 
     #[test]
-    fn shard_override_round_trips_and_shapes_the_config() {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_shards(None);
-            }
-        }
-        let _restore = Restore;
-        assert_eq!(default_shards(), None);
-        assert_eq!(sim_config(), SimConfig::default());
-        set_default_shards(Some(4));
-        assert_eq!(default_shards(), Some(4));
-        let config = sim_config();
+    fn shards_shape_the_sim_config() {
+        assert_eq!(ExecCtx::default().sim_config(), SimConfig::default());
+        let sharded = |shards| ExecCtx {
+            shards: Some(shards),
+            ..ExecCtx::default()
+        };
+        let config = sharded(4).sim_config();
         assert_eq!(config.rng, RngMode::Counter);
         assert_eq!(config.shards, 4);
-        set_default_shards(Some(1));
         // --shards 1 still selects counter mode, so it agrees with any
         // other shard count.
-        assert_eq!(sim_config().rng, RngMode::Counter);
-        assert_eq!(sim_config().shards, 1);
+        assert_eq!(sharded(1).sim_config().rng, RngMode::Counter);
+        assert_eq!(sharded(1).sim_config().shards, 1);
     }
 
     #[test]
@@ -375,16 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_override_round_trips_and_dispatches() {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_backend(Backend::Csr);
-            }
-        }
-        let _restore = Restore;
-        assert_eq!(default_backend(), Backend::Csr);
-
+    fn every_backend_dispatches_the_op() {
         /// Degree-sum probe: backend-independent by the GraphView contract.
         struct DegreeSum;
         impl BackendOp for DegreeSum {
@@ -394,43 +339,21 @@ mod tests {
             }
         }
 
-        let g = mis_graph::generators::torus2d(8, 8);
-        let reference = run_on_backend(&g, DegreeSum);
-        assert_eq!(reference, 4 * 64);
-        for b in [Backend::Compressed, Backend::Disk] {
-            set_default_backend(b);
-            assert_eq!(default_backend(), b);
-            assert_eq!(run_on_backend(&g, DegreeSum), reference, "{}", b.name());
+        let torus = mis_graph::generators::torus2d(8, 8);
+        let cycle = mis_graph::generators::cycle(32);
+        for backend in [Backend::Csr, Backend::Compressed, Backend::Disk] {
+            let ctx = ExecCtx {
+                backend,
+                ..ExecCtx::default()
+            };
+            assert_eq!(
+                ctx.on_backend(&torus, DegreeSum),
+                4 * 64,
+                "{}",
+                backend.name()
+            );
+            assert_eq!(ctx.on_backend(&cycle, DegreeSum), 64, "{}", backend.name());
         }
-    }
-
-    #[test]
-    fn explicit_backend_ignores_the_process_default() {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_backend(Backend::Csr);
-            }
-        }
-        let _restore = Restore;
-
-        /// Degree-sum probe: backend-independent by the GraphView contract.
-        struct DegreeSum;
-        impl BackendOp for DegreeSum {
-            type Out = usize;
-            fn run<G: GraphView + ?Sized>(self, g: &G) -> usize {
-                (0..g.node_count() as u32).map(|v| g.degree(v)).sum()
-            }
-        }
-
-        let g = mis_graph::generators::cycle(32);
-        // Pin the process default to one backend and route through the
-        // others explicitly: the default must not leak into the dispatch.
-        set_default_backend(Backend::Disk);
-        for b in [Backend::Csr, Backend::Compressed, Backend::Disk] {
-            assert_eq!(run_with_backend(&g, b, DegreeSum), 64, "{}", b.name());
-        }
-        assert_eq!(default_backend(), Backend::Disk);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use mis_baselines::{
 use mis_beeping::json::Json;
 use mis_core::engine::{AlgorithmEngine, EngineRecord};
 use mis_core::{BatchReport, RunPlan};
-use mis_experiments::{run_with_backend, BackendOp};
+use mis_experiments::{BackendOp, ExecCtx};
 use mis_graph::{Graph, GraphView};
 
 use crate::request::{AlgorithmSpec, RunRequest};
@@ -297,23 +297,24 @@ impl JobTable {
 // ---- Request → engine execution ------------------------------------------
 
 /// Executes a validated request on its graph through the unified engine
-/// path and renders the payload JSON. Pure in (graph, request): repeated
-/// calls return byte-identical strings. `observe_run` fires once per
+/// path and renders the payload JSON: on `ctx.backend`, with `ctx.jobs`
+/// workers ([`RunRequest::exec_ctx`] builds the context a request names).
+/// Pure in (graph, request): repeated calls return byte-identical strings,
+/// and the worker count never changes them. `observe_run` fires once per
 /// completed run (progress + engine-run accounting).
 #[must_use]
 pub fn execute_request(
     request: &RunRequest,
     graph: &Graph,
-    jobs: usize,
+    ctx: &ExecCtx,
     progress: &AtomicUsize,
     engine_runs: &AtomicU64,
 ) -> String {
-    run_with_backend(
+    ctx.on_backend(
         graph,
-        request.backend,
         ExecOp {
             request,
-            jobs,
+            jobs: ctx.jobs,
             progress,
             engine_runs,
         },
@@ -557,11 +558,11 @@ mod tests {
         let g = req.graph.build().unwrap();
         let progress = AtomicUsize::new(0);
         let engine_runs = AtomicU64::new(0);
-        let payload = execute_request(&req, &g, 1, &progress, &engine_runs);
+        let payload = execute_request(&req, &g, &req.exec_ctx(1), &progress, &engine_runs);
         assert_eq!(progress.load(Ordering::Relaxed), 5);
         assert_eq!(engine_runs.load(Ordering::Relaxed), 5);
         // Same bytes again — execution is pure in (graph, request).
-        let again = execute_request(&req, &g, 1, &progress, &engine_runs);
+        let again = execute_request(&req, &g, &req.exec_ctx(1), &progress, &engine_runs);
         assert_eq!(payload, again);
         // And the records agree with a solo RunPlan of the same shape.
         let solo = RunPlan::new(mis_core::Algorithm::feedback(), 5)
@@ -595,7 +596,7 @@ mod tests {
         let g = req.graph.build().unwrap();
         let progress = AtomicUsize::new(0);
         let engine_runs = AtomicU64::new(0);
-        let payload = execute_request(&req, &g, 1, &progress, &engine_runs);
+        let payload = execute_request(&req, &g, &req.exec_ctx(1), &progress, &engine_runs);
         assert_eq!(progress.load(Ordering::Relaxed), 3);
         let parsed = Json::parse(&payload).unwrap();
         let summary = parsed.get("summary").unwrap();

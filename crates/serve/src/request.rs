@@ -14,7 +14,7 @@
 use mis_beeping::json::Json;
 use mis_beeping::{FaultPlan, PropagationKernel, RngMode, SimConfig};
 use mis_core::Algorithm;
-use mis_experiments::Backend;
+use mis_experiments::{Backend, ExecCtx};
 use mis_graph::{generators, io, Graph, GraphView};
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -389,6 +389,18 @@ pub struct RunRequest {
 }
 
 impl RunRequest {
+    /// The execution context this request runs in: its own backend, on
+    /// `jobs` workers. `shards` stays unset, because the request's
+    /// [`config`](Self::config) already carries its RNG mode and shards.
+    #[must_use]
+    pub fn exec_ctx(&self, jobs: usize) -> ExecCtx {
+        ExecCtx {
+            jobs,
+            shards: None,
+            backend: self.backend,
+        }
+    }
+
     /// Parses and validates a request object.
     ///
     /// # Errors

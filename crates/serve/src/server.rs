@@ -237,7 +237,7 @@ fn run_claimed(state: &ServerState, job: ClaimedJob) -> Result<bool, String> {
         crate::jobs::execute_request(
             &job.request,
             &job.graph,
-            state.config.job_jobs,
+            &job.request.exec_ctx(state.config.job_jobs),
             &job.progress,
             &state.engine_runs,
         )
